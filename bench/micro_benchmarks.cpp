@@ -118,6 +118,49 @@ void BM_ForestFit(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestFit)->Arg(10)->Arg(50)->Arg(100);
 
+/// Training rows shaped like core::encode_point: log2 nodes / ppn / message
+/// size on a discrete grid (every 5th message size off the power-of-two
+/// grid, as §IV-B's non-P2 sampling adds) plus a 4-wide algorithm one-hot
+/// block. Heavy ties, constant-in-node columns and mirrored one-hot splits
+/// reach the fit's tie path, which BM_ForestFit's continuous features never do.
+struct EncodedFixture {
+  std::vector<ml::FeatureRow> X;
+  std::vector<double> y;
+  explicit EncodedFixture(std::size_t rows) {
+    util::Rng rng(11);
+    for (std::size_t i = 0; i < rows; ++i) {
+      const double nodes = static_cast<double>(1 + rng.index(8));
+      const double ppn = static_cast<double>(rng.index(6));
+      double msg = static_cast<double>(3 + rng.index(18));
+      if (i % 5 == 4) {
+        msg += std::log2(1.0 + rng.uniform());
+      }
+      const std::size_t alg = rng.index(4);
+      ml::FeatureRow row = {nodes, ppn, msg};
+      for (std::size_t a = 0; a < 4; ++a) {
+        row.push_back(a == alg ? 1.0 : 0.0);
+      }
+      X.push_back(std::move(row));
+      const double per_byte = 1.0 + 0.3 * static_cast<double>(alg);
+      const double latency = (1.0 + static_cast<double>(alg % 2)) * (nodes + ppn);
+      y.push_back(latency + per_byte * std::exp2(msg - 10.0) + rng.normal(0, 0.05));
+    }
+  }
+};
+
+void BM_ForestFitEncoded(benchmark::State& state) {
+  const EncodedFixture fx(static_cast<std::size_t>(state.range(0)));
+  ml::ForestParams params;
+  params.n_trees = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    ml::RandomForest f;
+    f.fit(fx.X, fx.y, params, 7);
+    benchmark::DoNotOptimize(f.n_trees());
+  }
+}
+// The fleet's job shape (90-point cap, 20 trees) and the tune job's (250, 50).
+BENCHMARK(BM_ForestFitEncoded)->Args({90, 20})->Args({250, 50});
+
 void BM_ForestPredictTrees(benchmark::State& state) {
   static const ForestFixture fx;
   ml::ForestParams params;

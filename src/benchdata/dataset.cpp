@@ -257,7 +257,9 @@ Dataset load_or_collect(const std::string& path, const simnet::MachineConfig& ma
     std::filesystem::create_directories(dir);
   }
   ds.save(path);
-  return ds;
+  // Hand back what later runs will load: the CSV keeps 9 significant
+  // digits, so the in-memory collection would train on different bits.
+  return Dataset::load(path);
 }
 
 }  // namespace acclaim::bench

@@ -70,7 +70,9 @@ Dataset precollect(const simnet::MachineConfig& machine, const FeatureGrid& grid
                    MicrobenchConfig config = {});
 
 /// Loads `path` if it exists, otherwise precollects and saves it — keeps the
-/// bench harnesses fast across runs while staying reproducible.
+/// bench harnesses fast across runs while staying reproducible. Either way
+/// the result is the dataset as read back from `path`, so the first run
+/// sees the same bits as every later one.
 Dataset load_or_collect(const std::string& path, const simnet::MachineConfig& machine,
                         const FeatureGrid& grid, const std::vector<coll::Collective>& collectives,
                         std::uint64_t seed, MicrobenchConfig config = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <numeric>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
@@ -31,6 +32,9 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
   require(!X.empty() && X.size() == y.size(), "forest requires non-empty, aligned X/y");
   telemetry::ScopedTimer timer("forest.fit");
   const auto start = std::chrono::steady_clock::now();
+  // One column view (and its per-feature rank codes) serves every tree;
+  // building it validates X before the current model is replaced.
+  const FeatureColumns cols(X);
   trees_.assign(static_cast<std::size_t>(params.n_trees), DecisionTree{});
   // One independent stream per tree, derived from the run seed *before* the
   // parallel region. Tree i always sees the i-th derived seed, so the forest
@@ -41,6 +45,11 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
   for (std::uint64_t& s : tree_seeds) {
     s = rng.next_u64();
   }
+  std::vector<std::size_t> all_rows;
+  if (!params.bootstrap) {
+    all_rows.resize(X.size());
+    std::iota(all_rows.begin(), all_rows.end(), 0);
+  }
   util::global_pool().parallel_for(0, trees_.size(), [&](std::size_t i) {
     util::Rng tree_rng(tree_seeds[i]);
     if (params.bootstrap) {
@@ -48,9 +57,9 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
       for (auto& s : sample) {
         s = tree_rng.index(X.size());
       }
-      trees_[i].fit(X, y, sample, params.tree, tree_rng);
+      trees_[i].fit(cols, y, sample, params.tree, tree_rng);
     } else {
-      trees_[i].fit(X, y, params.tree, tree_rng);
+      trees_[i].fit(cols, y, all_rows, params.tree, tree_rng);
     }
   });
   // Flatten once per fit: the SoA arena is immutable until the next fit,

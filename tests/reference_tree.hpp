@@ -1,0 +1,226 @@
+// Reference oracle for the CART fit: the per-node-sort builder the library
+// used before its presorted rank-code scan, kept verbatim (fit + build) so
+// the differential suites can demand that every fitted tree is
+// bit-identical to it. Test-only; the library has a single fit path.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
+#include "ml/forest.hpp"
+#include "ml/tree.hpp"
+#include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
+
+namespace acclaim::testing_support {
+
+class ReferenceTree {
+ public:
+  using FeatureRow = ml::FeatureRow;
+  using TreeParams = ml::TreeParams;
+  using Node = ml::DecisionTree::Node;
+
+  void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
+           const TreeParams& params, util::Rng& rng) {
+    std::vector<std::size_t> idx(X.size());
+    std::iota(idx.begin(), idx.end(), 0);
+    fit(X, y, idx, params, rng);
+  }
+
+  void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
+           const std::vector<std::size_t>& sample_idx, const TreeParams& params,
+           util::Rng& rng) {
+    require(!X.empty(), "DecisionTree::fit requires at least one row");
+    require(X.size() == y.size(), "X and y must have the same length");
+    require(!sample_idx.empty(), "DecisionTree::fit requires a non-empty sample");
+    n_features_ = X[0].size();
+    require(n_features_ >= 1, "rows must have at least one feature");
+    for (const auto& row : X) {
+      require(row.size() == n_features_, "ragged feature matrix");
+    }
+    for (std::size_t i : sample_idx) {
+      require(i < X.size(), "sample index out of range");
+    }
+    nodes_.clear();
+    depth_ = 0;
+    std::vector<std::size_t> idx = sample_idx;
+    build(X, y, idx, 0, idx.size(), 0, params, rng);
+  }
+
+  /// The document DecisionTree::to_json writes, field for field.
+  util::Json to_json() const {
+    util::Json doc = util::Json::object();
+    doc["n_features"] = static_cast<double>(n_features_);
+    doc["depth"] = depth_;
+    util::Json feature = util::Json::array();
+    util::Json threshold = util::Json::array();
+    util::Json left = util::Json::array();
+    util::Json right = util::Json::array();
+    util::Json value = util::Json::array();
+    for (const Node& node : nodes_) {
+      feature.push_back(node.feature);
+      threshold.push_back(node.threshold);
+      left.push_back(node.left);
+      right.push_back(node.right);
+      value.push_back(node.value);
+    }
+    doc["feature"] = std::move(feature);
+    doc["threshold"] = std::move(threshold);
+    doc["left"] = std::move(left);
+    doc["right"] = std::move(right);
+    doc["value"] = std::move(value);
+    return doc;
+  }
+
+  const std::vector<Node>& nodes() const noexcept { return nodes_; }
+
+ private:
+  std::int32_t build(const std::vector<FeatureRow>& X, const std::vector<double>& y,
+                     std::vector<std::size_t>& idx, std::size_t begin, std::size_t end,
+                     int depth, const TreeParams& params, util::Rng& rng) {
+    depth_ = std::max(depth_, depth);
+    const std::size_t n = end - begin;
+
+    double sum = 0.0;
+    double sum2 = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      sum += y[idx[i]];
+      sum2 += y[idx[i]] * y[idx[i]];
+    }
+    const double mean = sum / static_cast<double>(n);
+    // Total sum of squared deviations (not variance: avoids dividing twice).
+    const double sse = sum2 - sum * mean;
+
+    auto make_leaf = [&]() -> std::int32_t {
+      Node leaf;
+      leaf.value = mean;
+      nodes_.push_back(leaf);
+      return static_cast<std::int32_t>(nodes_.size() - 1);
+    };
+
+    if (depth >= params.max_depth || n < static_cast<std::size_t>(params.min_samples_split) ||
+        sse <= 1e-12) {
+      return make_leaf();
+    }
+
+    // Candidate features: all, or a uniform subset of size max_features.
+    std::vector<int> features;
+    if (params.max_features < 0 ||
+        params.max_features >= static_cast<int>(n_features_)) {
+      features.resize(n_features_);
+      std::iota(features.begin(), features.end(), 0);
+    } else {
+      const auto pick = rng.sample_without_replacement(
+          n_features_, static_cast<std::size_t>(params.max_features));
+      for (std::size_t f : pick) {
+        features.push_back(static_cast<int>(f));
+      }
+    }
+
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    double best_score = -1e-12;  // require a strictly positive reduction
+    std::vector<std::size_t> order(idx.begin() + static_cast<std::ptrdiff_t>(begin),
+                                   idx.begin() + static_cast<std::ptrdiff_t>(end));
+    for (int f : features) {
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return X[a][static_cast<std::size_t>(f)] < X[b][static_cast<std::size_t>(f)];
+      });
+      double left_sum = 0.0;
+      double left_sum2 = 0.0;
+      for (std::size_t k = 0; k + 1 < n; ++k) {
+        const double yi = y[order[k]];
+        left_sum += yi;
+        left_sum2 += yi * yi;
+        const double xv = X[order[k]][static_cast<std::size_t>(f)];
+        const double xn = X[order[k + 1]][static_cast<std::size_t>(f)];
+        if (xn <= xv) {
+          continue;  // no valid threshold between identical values
+        }
+        const std::size_t nl = k + 1;
+        const std::size_t nr = n - nl;
+        if (nl < static_cast<std::size_t>(params.min_samples_leaf) ||
+            nr < static_cast<std::size_t>(params.min_samples_leaf)) {
+          continue;
+        }
+        const double right_sum = sum - left_sum;
+        const double right_sum2 = sum2 - left_sum2;
+        const double sse_l = left_sum2 - left_sum * left_sum / static_cast<double>(nl);
+        const double sse_r = right_sum2 - right_sum * right_sum / static_cast<double>(nr);
+        const double score = sse - sse_l - sse_r;  // variance reduction
+        if (score > best_score) {
+          best_score = score;
+          best_feature = f;
+          best_threshold = 0.5 * (xv + xn);
+        }
+      }
+    }
+
+    if (best_feature < 0) {
+      return make_leaf();
+    }
+
+    // Partition [begin, end) of idx in place around the threshold.
+    const auto mid_it = std::partition(
+        idx.begin() + static_cast<std::ptrdiff_t>(begin),
+        idx.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t i) {
+          return X[i][static_cast<std::size_t>(best_feature)] <= best_threshold;
+        });
+    const auto mid = static_cast<std::size_t>(mid_it - idx.begin());
+    if (mid == begin || mid == end) {
+      return make_leaf();  // numeric degeneracy; refuse an empty child
+    }
+
+    // Reserve this node's slot before recursing (children append after it).
+    nodes_.emplace_back();
+    const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
+    const std::int32_t left = build(X, y, idx, begin, mid, depth + 1, params, rng);
+    const std::int32_t right = build(X, y, idx, mid, end, depth + 1, params, rng);
+    nodes_[static_cast<std::size_t>(self)].feature = best_feature;
+    nodes_[static_cast<std::size_t>(self)].threshold = best_threshold;
+    nodes_[static_cast<std::size_t>(self)].left = left;
+    nodes_[static_cast<std::size_t>(self)].right = right;
+    return self;
+  }
+
+  std::vector<Node> nodes_;
+  std::size_t n_features_ = 0;
+  int depth_ = 0;
+};
+
+/// RandomForest::to_json of the forest RandomForest::fit would build, with
+/// every tree fitted by the oracle: same per-tree seed derivation, same
+/// bootstrap draws, trees fitted one after another.
+inline util::Json reference_forest_json(const std::vector<ml::FeatureRow>& X,
+                                        const std::vector<double>& y,
+                                        const ml::ForestParams& params, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> tree_seeds(static_cast<std::size_t>(params.n_trees));
+  for (std::uint64_t& s : tree_seeds) {
+    s = rng.next_u64();
+  }
+  util::Json trees = util::Json::array();
+  for (std::uint64_t s : tree_seeds) {
+    util::Rng tree_rng(s);
+    ReferenceTree tree;
+    if (params.bootstrap) {
+      std::vector<std::size_t> sample(X.size());
+      for (auto& i : sample) {
+        i = tree_rng.index(X.size());
+      }
+      tree.fit(X, y, sample, params.tree, tree_rng);
+    } else {
+      tree.fit(X, y, params.tree, tree_rng);
+    }
+    trees.push_back(tree.to_json());
+  }
+  util::Json doc = util::Json::object();
+  doc["model"] = "acclaim-random-forest-v1";
+  doc["trees"] = std::move(trees);
+  return doc;
+}
+
+}  // namespace acclaim::testing_support

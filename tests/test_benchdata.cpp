@@ -1,6 +1,8 @@
 // Tests for the microbenchmark harness, feature grids, and datasets.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -235,7 +237,19 @@ TEST(Dataset, LoadOrCollectCaches) {
   ASSERT_TRUE(std::filesystem::exists(path));
   const bench::Dataset second = bench::load_or_collect(path, testing_support::small_machine(), g,
                                                        {coll::Collective::Reduce}, 11);
-  EXPECT_EQ(first.size(), second.size());
+  // The collecting run must hand back exactly what the cached runs load.
+  ASSERT_EQ(first.size(), second.size());
+  for (const BenchmarkPoint& p : first.points()) {
+    ASSERT_TRUE(second.contains(p)) << p.to_string();
+    const bench::Measurement& a = first.at(p);
+    const bench::Measurement& b = second.at(p);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_us), std::bit_cast<std::uint64_t>(b.mean_us));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.stddev_us),
+              std::bit_cast<std::uint64_t>(b.stddev_us));
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.collect_cost_s),
+              std::bit_cast<std::uint64_t>(b.collect_cost_s));
+  }
   std::remove(path.c_str());
 }
 

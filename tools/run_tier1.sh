@@ -103,7 +103,7 @@ run_tsan() {
   # the environment cannot pin the suites back to one thread.
   local tsan_dir="$repo_root/build-tsan"
   cmake -B "$tsan_dir" -S "$repo_root" -DACCLAIM_SANITIZE=thread &&
-  cmake --build "$tsan_dir" --target test_thread_pool test_determinism test_properties -j "$jobs" &&
+  cmake --build "$tsan_dir" --target test_thread_pool test_determinism test_properties test_tree_fit -j "$jobs" &&
   # --no-tests=error: a label filter that matches nothing must fail loudly,
   # not report success with zero tests run (a renamed label would otherwise
   # silently disable the race gate).
