@@ -4,9 +4,10 @@
 // determine how long the figure harnesses and the production pipeline take.
 //
 // `--json-out DIR` switches the binary into regression-gate mode instead of
-// running google-benchmark: it times the pointer forest against the fused
-// SoA kernel on a fig10/fig12-shaped jackknife sweep, checks the two paths
-// bitwise-equal, and writes DIR/BENCH_micro_forest.json for CI to parse.
+// running google-benchmark: it times the reference pointer walk
+// (tests/reference_forest.hpp) against the fused SoA kernel on a
+// fig10/fig12-shaped jackknife sweep, checks the two paths bitwise-equal,
+// and writes DIR/BENCH_micro_forest.json for CI to parse.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -25,6 +26,7 @@
 #include "minimpi/cost_executor.hpp"
 #include "minimpi/schedule.hpp"
 #include "ml/forest.hpp"
+#include "reference_forest.hpp"
 #include "simnet/allocation.hpp"
 #include "simnet/machine.hpp"
 #include "simnet/network.hpp"
@@ -283,14 +285,14 @@ struct SweepFixture {
 };
 
 /// One full jackknife sweep over the candidate pool (what jackknife_variances
-/// does once per acquisition round) on the original pointer-chasing engine.
+/// does once per acquisition round) on the reference pointer walk.
 void BM_JackknifeSweepPointer(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
-  ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
   std::vector<double> var(fx.rows.size());
   std::vector<double> scratch;
   for (auto _ : state) {
-    fx.forest.jackknife_batch(fx.rows.data(), fx.rows.size(), var.data(), nullptr, scratch);
+    testing_support::reference_jackknife_batch(fx.forest, fx.rows.data(), fx.rows.size(),
+                                               var.data(), nullptr, scratch);
     benchmark::DoNotOptimize(var.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -301,7 +303,6 @@ BENCHMARK(BM_JackknifeSweepPointer);
 /// The same sweep through the fused SoA batch kernel.
 void BM_JackknifeSweepFused(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
-  ml::ForestBackendGuard guard(ml::ForestBackend::Flat);
   std::vector<double> var(fx.rows.size());
   std::vector<double> scratch;
   for (auto _ : state) {
@@ -339,12 +340,11 @@ int run_forest_gate(const std::string& out_dir) {
   std::vector<double> var_ptr(n), mean_ptr(n), var_flat(n), mean_flat(n);
   std::vector<double> scratch;
   constexpr int kReps = 7;
-  auto time_path = [&](ml::ForestBackend backend, double* var, double* mean) {
-    ml::ForestBackendGuard guard(backend);
+  auto time_path = [&](auto sweep, double* var, double* mean) {
     double best_s = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {  // first rep doubles as warmup
       const auto t0 = std::chrono::steady_clock::now();
-      fx.forest.jackknife_batch(fx.rows.data(), n, var, mean, scratch);
+      sweep(fx.rows.data(), n, var, mean, scratch);
       const double s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       if (rep > 0) {
@@ -353,9 +353,16 @@ int run_forest_gate(const std::string& out_dir) {
     }
     return best_s;
   };
-  const double ptr_s = time_path(ml::ForestBackend::Pointer, var_ptr.data(), mean_ptr.data());
-  const double flat_s =
-      time_path(ml::ForestBackend::Flat, var_flat.data(), mean_flat.data());
+  const double ptr_s = time_path(
+      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, double* mean,
+          std::vector<double>& s) {
+        testing_support::reference_jackknife_batch(fx.forest, rows, n_rows, var, mean, s);
+      },
+      var_ptr.data(), mean_ptr.data());
+  const double flat_s = time_path(
+      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, double* mean,
+          std::vector<double>& s) { fx.forest.jackknife_batch(rows, n_rows, var, mean, s); },
+      var_flat.data(), mean_flat.data());
 
   const bool bitwise_equal =
       std::memcmp(var_ptr.data(), var_flat.data(), n * sizeof(double)) == 0 &&
@@ -392,7 +399,7 @@ int run_forest_gate(const std::string& out_dir) {
   doc.dump_file(out_dir + "/BENCH_micro_forest.json");
 
   if (!bitwise_equal) {
-    std::cerr << "forest gate: SoA results diverge from the pointer engine\n";
+    std::cerr << "forest gate: SoA results diverge from the reference pointer walk\n";
     return 1;
   }
   return 0;

@@ -7,7 +7,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acclaim::core {
 
@@ -139,8 +138,7 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
   // Which racks / pairs each co-running benchmark occupies, plus the
   // interference flows concurrent benchmarks inject into every rack / pair
   // they share with it. A disjoint schedule (the §IV-D greedy guarantees
-  // rack disjointness) sees none of this. Everything here is precomputed
-  // serially so the parallel bodies below are read-only on shared state.
+  // rack disjointness) sees none of this.
   std::vector<simnet::RegionFootprint> feet(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto& item = batch[i];
@@ -169,24 +167,24 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
     }
   }
 
-  // Noise streams are assigned in batch order *before* the parallel loop:
-  // measurement i always consumes stream measure_seq_+i no matter which
-  // thread runs it, which is what makes the measured values bitwise-equal to
-  // a sequential run of the same seed.
+  // Noise streams are assigned in batch order before the loop: measurement i
+  // always consumes stream measure_seq_+i, so the measured values depend only
+  // on the seed and the batch, never on how the items are run.
   std::vector<util::Rng> rngs;
   rngs.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     rngs.push_back(util::Rng::stream(noise_seed_, measure_seq_++));
   }
 
-  // Run the batch's simulated microbenchmarks concurrently across their
-  // disjoint allocation slices. Each body reads only immutable shared state
-  // (network model, allocation, precomputed flow maps) and writes only its
-  // own slots.
+  // Run the batch's simulated microbenchmarks on their disjoint allocation
+  // slices. The items run *simulated*-concurrently (the clock is charged the
+  // makespan below); on the host they run one after another, because farming
+  // them out to the thread pool measured no faster (fig13, 0.9x at 1-4
+  // threads).
   std::vector<bench::Measurement> out(batch.size());
   std::vector<double> item_wall_ms(batch.size(), 0.0);
   const auto batch_start = std::chrono::steady_clock::now();
-  util::global_pool().parallel_for(0, batch.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto t0 = std::chrono::steady_clock::now();
     // An interference-free item whose placement the scheduler already priced
     // reuses that schedule time (run_with_load with empty flow maps computes
@@ -206,7 +204,7 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
     item_wall_ms[i] =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
             .count();
-  });
+  }
   const double batch_wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - batch_start)
           .count();

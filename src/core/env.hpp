@@ -35,9 +35,7 @@ struct ScheduledBenchmark {
 /// Predicted solo runtime (microseconds) of one placed benchmark. Installed
 /// by environments that can price a communication schedule without running
 /// it (LiveEnvironment builds the schedule against the cost model). Must be
-/// a pure, thread-safe function of its argument: the CollectionScheduler
-/// evaluates all placements of a batch concurrently, one result slot per
-/// candidate.
+/// a pure function of its argument.
 using SoloCostFn = std::function<double(const ScheduledBenchmark&)>;
 
 /// Abstract measurement source with a collection-time clock.
@@ -164,8 +162,7 @@ class LiveEnvironment final : public TuningEnvironment {
   LiveEnvironmentConfig config_;
   std::uint64_t noise_seed_ = 0;
   /// Serial measurement sequence number: stream ids are handed out in batch
-  /// order *before* the parallel loop runs, which is what pins the noise to
-  /// the measurement, not to the thread schedule.
+  /// order before any item runs, which pins the noise to the measurement.
   std::uint64_t measure_seq_ = 0;
 };
 

@@ -6,7 +6,6 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acclaim::core {
 
@@ -47,16 +46,14 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
     }
   }
 
-  // Parallel placement scoring: each accepted candidate's solo schedule is
-  // priced concurrently (the expensive part — building the communication
-  // schedule against the cost model), one slot per candidate. The argmax
-  // fold below runs serially in slot order, so the predicted makespan and
-  // its witness are independent of the chunk-to-thread schedule.
+  // Placement scoring: price each accepted candidate's solo schedule (the
+  // expensive part — building the communication schedule against the cost
+  // model), then take the argmax in slot order.
   if (solo_cost && !batch.items.empty()) {
-    batch.predicted_us.assign(batch.items.size(), 0.0);
-    util::global_pool().parallel_for(0, batch.items.size(), [&](std::size_t i) {
-      batch.predicted_us[i] = solo_cost(batch.items[i]);
-    });
+    batch.predicted_us.reserve(batch.items.size());
+    for (const ScheduledBenchmark& item : batch.items) {
+      batch.predicted_us.push_back(solo_cost(item));
+    }
     for (std::size_t i = 0; i < batch.predicted_us.size(); ++i) {
       if (batch.predicted_longest < 0 ||
           batch.predicted_us[i] > batch.predicted_makespan_us) {

@@ -25,7 +25,7 @@ struct CollectionBatch {
   std::vector<ScheduledBenchmark> items;
   /// Pool indices consumed, aligned with `items`.
   std::vector<std::size_t> consumed;
-  /// Predicted solo runtime per item (parallel-scored when a SoloCostFn was
+  /// Predicted solo runtime per item (scored when a SoloCostFn was
   /// supplied to plan(); empty otherwise).
   std::vector<double> predicted_us;
   /// max(predicted_us): the batch's predicted makespan. The batch clock
@@ -33,8 +33,7 @@ struct CollectionBatch {
   /// occupancy telemetry and trace events report before anything runs.
   double predicted_makespan_us = 0.0;
   /// Index of the predicted-longest item (first such index: the argmax
-  /// reduction runs in fixed slot order, so ties break deterministically
-  /// regardless of which thread scored which candidate). -1 when unscored.
+  /// runs in slot order). -1 when unscored.
   int predicted_longest = -1;
 };
 
@@ -55,12 +54,10 @@ class CollectionScheduler {
   /// the allocation at all.
   ///
   /// When `solo_cost` is supplied, every accepted (benchmark, slot)
-  /// placement is scored concurrently on the global thread pool — each
-  /// candidate writes only its own predicted_us slot — and the batch's
-  /// predicted makespan is folded with a fixed-order argmax, so the result
-  /// is bitwise-identical for any thread count. Scoring never changes which
-  /// placements are chosen (the greedy walk itself is the paper's, and
-  /// stays serial: it is a handful of integer comparisons).
+  /// placement is scored in slot order and the batch's predicted makespan
+  /// is their argmax. Scoring never changes which placements are chosen
+  /// (the greedy walk itself is the paper's: a handful of integer
+  /// comparisons).
   CollectionBatch plan(const std::vector<bench::BenchmarkPoint>& pool,
                        const std::vector<std::size_t>& ranked, const simnet::Topology& topo,
                        const simnet::Allocation& alloc, const SoloCostFn& solo_cost = {}) const;

@@ -66,9 +66,8 @@ FlatForest FlatForest::build(const std::vector<DecisionTree>& trees) {
 
 namespace {
 
-/// One root-to-leaf walk over the arena. The comparison is the same
-/// expression DecisionTree::predict evaluates (`x[f] <= threshold`), so NaN
-/// features route right in both engines.
+/// One root-to-leaf walk over the arena. The comparison is
+/// `x[f] <= threshold`, so NaN features route right.
 inline double walk(const double* x, std::int32_t root, const std::int32_t* feature,
                    const double* threshold, const std::int32_t* left,
                    const std::int32_t* right, const double* value) {

@@ -1,20 +1,21 @@
-// Structure-of-arrays forest inference engine.
+// Structure-of-arrays forest inference engine — the library's only one.
 //
-// The fitted `DecisionTree`s are node-struct vectors: every hop of
-// `DecisionTree::predict` loads a 32-byte Node to use at most half of it,
-// and a forest prediction chases those pointers once per tree per query.
-// Prediction and per-tree jackknife variance dominate every acquisition
-// round (PAPER.md §IV; the fig10/fig12 hot paths), so the trees are
-// flattened once after fit()/from_json() into one shared arena of parallel
-// arrays — split feature, threshold, left child, right child, leaf value —
-// and all hot-path evaluation walks the arena instead.
+// The fitted `DecisionTree`s are node-struct vectors: walking them loads a
+// 32-byte Node per hop to use at most half of it, and a forest prediction
+// chases those pointers once per tree per query. Prediction and per-tree
+// jackknife variance dominate every acquisition round (PAPER.md §IV; the
+// fig10/fig12 hot paths), so the trees are flattened once after
+// fit()/from_json() into one shared arena of parallel arrays — split
+// feature, threshold, left child, right child, leaf value — and every
+// evaluation walks the arena.
 //
 // Equivalence contract: flattening copies node fields bit-for-bit and
 // preserves node order, traversal uses the same `x[f] <= threshold`
-// comparison (NaN routes right in both), and every mean/variance
-// accumulates in tree order. Flat results are therefore bitwise-identical
-// to the pointer forest — enforced by tests/test_flat_forest.cpp and the
-// differential tune-job goldens in test_determinism.cpp.
+// comparison as a walk over DecisionTree::nodes() (NaN routes right), and
+// every mean/variance accumulates in tree order. Flat results are therefore
+// bitwise-identical to that node walk. The walk itself lives in
+// tests/reference_forest.hpp as the oracle that tests/test_flat_forest.cpp
+// and the forest microbenchmark gate compare against.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +42,7 @@ class FlatForest {
   std::size_t n_nodes() const noexcept { return feature_.size(); }
 
   /// Mean of the per-tree predictions, accumulated in tree order — bitwise
-  /// equal to summing DecisionTree::predict over the source trees.
+  /// equal to averaging a node walk of each source tree.
   double predict(const FeatureRow& row) const;
 
   /// Per-tree predictions in tree order; `out` is resized to n_trees().

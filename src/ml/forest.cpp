@@ -1,7 +1,6 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <numeric>
 
@@ -11,20 +10,6 @@
 #include "util/thread_pool.hpp"
 
 namespace acclaim::ml {
-
-namespace {
-
-std::atomic<ForestBackend> g_backend{ForestBackend::Flat};
-
-}  // namespace
-
-void set_forest_backend(ForestBackend backend) {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-ForestBackend forest_backend() noexcept {
-  return g_backend.load(std::memory_order_relaxed);
-}
 
 void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
                        const ForestParams& params, std::uint64_t seed) {
@@ -76,14 +61,7 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
 
 double RandomForest::predict(const FeatureRow& row) const {
   require(fitted(), "RandomForest::predict called before fit");
-  if (forest_backend() == ForestBackend::Flat) {
-    return flat_.predict(row);
-  }
-  double sum = 0.0;
-  for (const auto& tree : trees_) {
-    sum += tree.predict(row);
-  }
-  return sum / static_cast<double>(trees_.size());
+  return flat_.predict(row);
 }
 
 std::vector<double> RandomForest::predict_trees(const FeatureRow& row) const {
@@ -94,17 +72,10 @@ std::vector<double> RandomForest::predict_trees(const FeatureRow& row) const {
 
 void RandomForest::predict_trees(const FeatureRow& row, std::vector<double>& out) const {
   require(fitted(), "RandomForest::predict_trees called before fit");
-  if (forest_backend() == ForestBackend::Flat) {
-    // The flat walk is a serial sweep over the arena: for the 24-100 tree
-    // forests the pipeline runs, one cache-friendly pass beats farming
-    // per-tree tasks out to the pool (and is trivially thread-invariant).
-    flat_.predict_trees(row, out);
-  } else {
-    out.resize(trees_.size());
-    for (std::size_t i = 0; i < trees_.size(); ++i) {
-      out[i] = trees_[i].predict(row);
-    }
-  }
+  // The flat walk is a serial sweep over the arena: for the 24-100 tree
+  // forests the pipeline runs, one cache-friendly pass beats farming
+  // per-tree tasks out to the pool (and is trivially thread-invariant).
+  flat_.predict_trees(row, out);
   // Hot path (jackknife variance sweeps call this per candidate per
   // iteration): a relaxed increment only, no clock reads.
   static telemetry::Counter& predicts = telemetry::metrics().counter("ml.forest.predicts");
@@ -118,30 +89,7 @@ void RandomForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
   if (n_rows == 0) {
     return;
   }
-  if (forest_backend() == ForestBackend::Flat) {
-    flat_.jackknife_batch(rows, n_rows, variances, means, scratch);
-  } else {
-    // Reference engine: scalar per-row pointer traversal, same reductions.
-    const std::size_t nt = trees_.size();
-    if (scratch.size() < nt) {
-      scratch.resize(nt);
-    }
-    for (std::size_t r = 0; r < n_rows; ++r) {
-      for (std::size_t t = 0; t < nt; ++t) {
-        scratch[t] = trees_[t].predict(rows[r]);
-      }
-      if (variances != nullptr) {
-        variances[r] = jackknife_variance(scratch.data(), nt);
-      }
-      if (means != nullptr) {
-        double sum = 0.0;
-        for (std::size_t t = 0; t < nt; ++t) {
-          sum += scratch[t];
-        }
-        means[r] = sum / static_cast<double>(nt);
-      }
-    }
-  }
+  flat_.jackknife_batch(rows, n_rows, variances, means, scratch);
   // One "predict" per row keeps the counter's meaning (forest evaluations)
   // identical between the scalar and batched entry points.
   static telemetry::Counter& predicts = telemetry::metrics().counter("ml.forest.predicts");

@@ -14,42 +14,11 @@ struct ForestParams {
   TreeParams tree;
 };
 
-/// Which inference engine RandomForest evaluation routes through. The two
-/// are bitwise-equivalent by construction; the pointer path exists so the
-/// differential test harness (test_flat_forest.cpp, test_determinism.cpp)
-/// can re-run whole tune jobs on the original engine and byte-compare every
-/// artifact against the SoA path.
-enum class ForestBackend {
-  Flat,     ///< SoA arena, batched tree-major kernels (the default)
-  Pointer,  ///< original node-struct traversal, scalar fallback for batches
-};
-
-/// Process-wide backend switch (default Flat). A testing/diagnostics hook:
-/// flip it from serial code only (tests, bench setup) — concurrent readers
-/// are safe, but mid-sweep flips would mix engines within one result.
-void set_forest_backend(ForestBackend backend);
-ForestBackend forest_backend() noexcept;
-
-/// Restores the previous backend on scope exit (test helper).
-class ForestBackendGuard {
- public:
-  explicit ForestBackendGuard(ForestBackend backend)
-      : previous_(forest_backend()) {
-    set_forest_backend(backend);
-  }
-  ~ForestBackendGuard() { set_forest_backend(previous_); }
-  ForestBackendGuard(const ForestBackendGuard&) = delete;
-  ForestBackendGuard& operator=(const ForestBackendGuard&) = delete;
-
- private:
-  ForestBackend previous_;
-};
-
 /// scikit-style RandomForestRegressor: each tree fits a bootstrap resample;
 /// the forest predicts the mean of the trees. predict_trees() exposes the
 /// per-tree predictions the jackknife variance (§IV-A) needs. After fit()
-/// or from_json() the trees are additionally flattened into a FlatForest
-/// arena; all evaluation entry points route through it (see ForestBackend).
+/// or from_json() the trees are flattened into a FlatForest arena, and every
+/// evaluation entry point runs on it.
 class RandomForest {
  public:
   void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
@@ -58,8 +27,8 @@ class RandomForest {
   bool fitted() const noexcept { return !trees_.empty(); }
   std::size_t n_trees() const noexcept { return trees_.size(); }
 
-  /// The fitted pointer trees (serialization source + differential
-  /// reference engine).
+  /// The fitted trees (the serialization source, and what the test oracle
+  /// in tests/reference_forest.hpp walks).
   const std::vector<DecisionTree>& trees() const noexcept { return trees_; }
 
   /// The flattened SoA arena shared by all hot-path evaluation.
@@ -81,7 +50,7 @@ class RandomForest {
   /// re-walk of the trees. Either output may be null to skip that
   /// reduction. `scratch` is caller-owned working memory (one buffer per
   /// thread in parallel sweeps). Bitwise-identical to predict_trees +
-  /// jackknife_variance per row, on either backend.
+  /// jackknife_variance per row.
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
                        double* means, std::vector<double>& scratch) const;
 

@@ -439,17 +439,4 @@ DecisionTree DecisionTree::from_json(const util::Json& doc) {
   return tree;
 }
 
-double DecisionTree::predict(const FeatureRow& row) const {
-  require(fitted(), "DecisionTree::predict called before fit");
-  require(row.size() == n_features_, "feature count mismatch in predict");
-  std::int32_t cur = 0;
-  while (true) {
-    const Node& node = nodes_[static_cast<std::size_t>(cur)];
-    if (node.feature < 0) {
-      return node.value;
-    }
-    cur = row[static_cast<std::size_t>(node.feature)] <= node.threshold ? node.left : node.right;
-  }
-}
-
 }  // namespace acclaim::ml

@@ -55,8 +55,8 @@ class FeatureColumns {
   std::vector<std::uint32_t> sorted_;
 };
 
-/// A fitted regression tree. Fit once, then predict; refitting replaces the
-/// model.
+/// A fitted regression tree. Fit once; refitting replaces the model. Trees
+/// are evaluated through FlatForest, which flattens nodes() into its arena.
 class DecisionTree {
  public:
   /// Fits on the rows indexed by `sample_idx` (with repetition allowed — the
@@ -74,8 +74,6 @@ class DecisionTree {
   /// Convenience: fit on all rows.
   void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
            const TreeParams& params, util::Rng& rng);
-
-  double predict(const FeatureRow& row) const;
 
   bool fitted() const noexcept { return !nodes_.empty(); }
   std::size_t node_count() const noexcept { return nodes_.size(); }

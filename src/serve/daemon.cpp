@@ -9,6 +9,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "serve/protocol.hpp"
 #include "telemetry/metrics.hpp"
@@ -26,6 +27,13 @@ util::Json decision_fields(const Decision& d) {
   fields["cached"] = d.cache_hit;
   fields["version"] = d.version;
   return fields;
+}
+
+/// The one response an overflowed connection or stream gets before it is
+/// closed.
+std::string oversized_line_response() {
+  return error_response("request line exceeds " + std::to_string(kMaxLineBytes) +
+                        " bytes; closing the connection");
 }
 
 }  // namespace
@@ -92,13 +100,40 @@ std::string Daemon::handle_line(const std::string& line) {
 
 std::uint64_t Daemon::serve_stream(std::istream& in, std::ostream& out) {
   std::uint64_t handled = 0;
+  LineFramer framer;
   std::string line;
-  while (!shutdown_ && std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
+  std::streambuf* const src = in.rdbuf();
+  char chunk[4096];
+  bool eof = false;
+  while (!shutdown_ && !eof) {
+    // Read up to and including the next newline, never past it: an
+    // interactive client gets each response before it sends the next line.
+    std::size_t n = 0;
+    while (n < sizeof(chunk)) {
+      const int c = src->sbumpc();
+      if (c == std::char_traits<char>::eof()) {
+        // EOF ends a final unterminated line, as std::getline would.
+        chunk[n++] = '\n';
+        eof = true;
+        break;
+      }
+      chunk[n++] = static_cast<char>(c);
+      if (c == '\n') {
+        break;
+      }
     }
-    out << handle_line(line) << "\n" << std::flush;
-    ++handled;
+    framer.append(chunk, n);
+    while (!shutdown_ && framer.next(line)) {
+      if (line.empty()) {
+        continue;
+      }
+      out << handle_line(line) << "\n" << std::flush;
+      ++handled;
+    }
+    if (framer.overflowed()) {
+      out << oversized_line_response() << "\n" << std::flush;
+      break;
+    }
   }
   return handled;
 }
@@ -195,27 +230,32 @@ std::uint64_t Daemon::serve_unix_socket(const std::string& path) {
       throw IoError(std::string("accept failed: ") + std::strerror(errno));
     }
     // Serve this connection until the peer closes (or shutdown). Lines may
-    // arrive split across reads; buffer until '\n'.
-    std::string buffer;
+    // arrive split across reads; the framer buffers until '\n', and an
+    // oversized line ends the connection after one error response.
+    LineFramer framer;
+    std::string line;
     char chunk[4096];
     while (!shutdown_) {
       const ssize_t n = ::recv(conn.get(), chunk, sizeof(chunk), 0);
       if (n <= 0) {
         break;
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      for (std::size_t nl = buffer.find('\n', pos); nl != std::string::npos;
-           nl = buffer.find('\n', pos)) {
-        const std::string line = buffer.substr(pos, nl - pos);
-        pos = nl + 1;
+      framer.append(chunk, static_cast<std::size_t>(n));
+      while (framer.next(line)) {
         if (line.empty()) {
           continue;
         }
         send_all(conn.get(), handle_line(line) + "\n");
         ++handled;
       }
-      buffer.erase(0, pos);
+      if (framer.overflowed()) {
+        try {
+          send_all(conn.get(), oversized_line_response() + "\n");
+        } catch (const IoError& e) {
+          AC_LOG_WARN() << "acclaimd: client left before its oversized-line error: " << e.what();
+        }
+        break;
+      }
     }
   }
   ::unlink(path.c_str());

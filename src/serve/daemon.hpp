@@ -4,7 +4,10 @@
 // handle_line() (parse -> dispatch to ServeCore -> serialize), and writes
 // one response line. Model evaluation never happens on the accept path
 // without a resolved snapshot, and a malformed line yields an error
-// response, not a dropped connection. Batch requests are the concurrency
+// response, not a dropped connection. The one exception is a line longer
+// than kMaxLineBytes: both transports frame input through LineFramer,
+// answer such a line with one error response and then close, since the
+// stream cannot be resynchronized. Batch requests are the concurrency
 // mechanism: a client that wants parallelism ships {"op":"batch",...} and
 // the serving core fans the misses out on the global thread pool.
 #pragma once
@@ -24,12 +27,14 @@ class Daemon {
   /// newline). Never throws on bad input — the error becomes the response.
   std::string handle_line(const std::string& line);
 
-  /// Serves `in` until EOF or a shutdown request; one response per line on
-  /// `out`, flushed per response. Returns the number of requests handled.
+  /// Serves `in` until EOF, a shutdown request, or an oversized line; one
+  /// response per line on `out`, flushed per response. Returns the number
+  /// of requests handled.
   std::uint64_t serve_stream(std::istream& in, std::ostream& out);
 
   /// Binds a unix domain socket at `path` (replacing a stale file), then
-  /// accepts connections one at a time, serving each until the peer closes.
+  /// accepts connections one at a time, serving each until the peer closes
+  /// or sends an oversized line.
   /// Returns (and unlinks the socket) after a shutdown request. Throws
   /// IoError on socket setup failures.
   std::uint64_t serve_unix_socket(const std::string& path);

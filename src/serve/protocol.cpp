@@ -58,6 +58,35 @@ std::string topology_from(const util::Json& obj) {
 
 }  // namespace
 
+void LineFramer::append(const char* data, std::size_t n) {
+  if (start_ > 0) {
+    buffer_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
+  }
+  buffer_.append(data, n);
+}
+
+bool LineFramer::next(std::string& line) {
+  if (overflowed_) {
+    return false;
+  }
+  const std::size_t nl = buffer_.find('\n', scanned_);
+  if (nl == std::string::npos) {
+    scanned_ = buffer_.size();
+    overflowed_ = scanned_ - start_ > kMaxLineBytes;
+    return false;
+  }
+  if (nl - start_ > kMaxLineBytes) {
+    overflowed_ = true;
+    return false;
+  }
+  line.assign(buffer_, start_, nl - start_);
+  start_ = nl + 1;
+  scanned_ = start_;
+  return true;
+}
+
 int checked_comm_size(std::int64_t nodes, std::int64_t ppn) {
   // Both operands are bounded well below 2^32 everywhere this is called, so
   // the 64-bit product itself cannot wrap; only the int-range check remains.

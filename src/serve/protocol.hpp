@@ -57,6 +57,33 @@ inline constexpr std::int64_t kMaxPpn = 1 << 16;
 inline constexpr std::int64_t kMaxRanks = std::int64_t{1} << 28;
 inline constexpr std::size_t kMaxBatch = 1 << 16;
 
+/// Longest request line either transport accepts, newline excluded: room
+/// for a kMaxBatch batch at 256 bytes per query (the longest well-formed
+/// query is under 100), so only hostile or corrupt input reaches it.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{16} << 20;
+
+/// Splits received bytes into request lines, for both daemon transports.
+/// Every byte is scanned for the newline once, however finely the line
+/// trickles in, and a line longer than kMaxLineBytes stops the framer
+/// instead of growing its buffer without bound.
+class LineFramer {
+ public:
+  /// Appends newly received bytes (dropping the lines already returned).
+  void append(const char* data, std::size_t n);
+  /// Moves the next complete line, without its newline, into `line`.
+  /// Returns false when no complete line is buffered, or once overflowed.
+  bool next(std::string& line);
+  /// True once a line exceeded kMaxLineBytes. The stream cannot be
+  /// resynchronized: the transport answers one error and closes it.
+  bool overflowed() const noexcept { return overflowed_; }
+
+ private:
+  std::string buffer_;
+  std::size_t start_ = 0;    ///< first byte of the pending line
+  std::size_t scanned_ = 0;  ///< [start_, scanned_) holds no newline
+  bool overflowed_ = false;
+};
+
 /// nodes x ppn computed in 64-bit and checked against kMaxRanks; throws
 /// InvalidArgument when the product exceeds the cap. The one sanctioned way
 /// to turn a (nodes, ppn) pair into a comm size.

@@ -8,10 +8,17 @@
 
 namespace acclaim::serve {
 
+namespace {
+
+/// Miss groups at or above this size route through CollectiveModel::
+/// select_batch (parallel fused kernel); smaller ones run the scalar path.
+/// Both produce identical bits, so this only trades dispatch overhead.
+constexpr std::size_t kBatchThreshold = 4;
+
+}  // namespace
+
 ServeCore::ServeCore(ServeConfig cfg)
-    : cfg_(cfg),
-      store_(cfg.store_shards),
-      cache_(cfg.cache_capacity, cfg.cache_shards) {}
+    : store_(cfg.store_shards), cache_(cfg.cache_capacity, cfg.cache_shards) {}
 
 std::uint64_t ServeCore::publish(const ModelKey& key, core::CollectiveModel model) {
   static telemetry::Counter& published = telemetry::metrics().counter("serve.models_published");
@@ -95,7 +102,7 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
   // for bit (core/model.hpp), so routing by size is purely a throughput
   // decision.
   for (auto& [version, group] : misses) {
-    if (group.scenarios.size() >= cfg_.batch_threshold) {
+    if (group.scenarios.size() >= kBatchThreshold) {
       const std::vector<coll::Algorithm> algs = group.snap->model.select_batch(group.scenarios);
       for (std::size_t j = 0; j < group.indices.size(); ++j) {
         out[group.indices[j]].algorithm = algs[j];

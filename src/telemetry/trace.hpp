@@ -2,27 +2,21 @@
 //
 // Instrumented code emits typed events (one per training iteration,
 // acquisition pick, scheduled batch, benchmark run, model refit,
-// convergence check, and pipeline phase) into the process-wide Tracer.
-// Recording is off by default — a single relaxed atomic load gates every
-// site — and can be turned on two ways, independently:
-//  * enable_ring(n): keep the last n events in memory (tests, the report
-//    builder after an in-process run);
-//  * open_stream(path): append every event as one compact JSON object per
-//    line (JSON-lines), the format `acclaim report` consumes.
+// convergence check, and pipeline phase) into the process-wide Tracer, a
+// JsonlSink (jsonl_sink.hpp): off by default, with an in-memory ring (tests,
+// the report builder after an in-process run) and a JSON-lines stream (the
+// format `acclaim report` consumes) as independent destinations.
 // Events carry a wall-clock timestamp relative to the tracer epoch plus a
 // free-form field object; the fields that matter to the report builder are
 // documented per event kind in DESIGN.md ("Observability").
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <fstream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "telemetry/jsonl_sink.hpp"
 #include "util/json.hpp"
 
 namespace acclaim::telemetry {
@@ -59,48 +53,19 @@ struct TraceEvent {
   static TraceEvent from_json(const util::Json& doc);
 };
 
-class Tracer {
+/// The process-wide trace sink. Lifecycle, destinations and counters come
+/// from JsonlSink; record() stamps each event with its wall-clock offset
+/// from the tracer epoch.
+class Tracer : public JsonlSink<TraceEvent> {
  public:
   /// The process-wide tracer all instrumented library code records into.
   static Tracer& global();
 
-  /// True when at least one destination (ring or stream) is active.
-  /// Instrument sites must check this before building an event so the
-  /// disabled path stays a single relaxed load.
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Keeps the most recent `capacity` events in memory.
-  void enable_ring(std::size_t capacity = 1 << 16);
-  /// Streams every subsequent event as one JSON line; truncates `path`.
-  /// Throws IoError if the file cannot be opened.
-  void open_stream(const std::string& path);
-  /// Flushes and closes the stream sink (ring recording, if on, continues).
-  void close_stream();
-  /// Stops recording entirely and discards the ring contents.
-  void disable();
-
   void record(TraceEvent ev);
-
-  /// Ring contents, oldest first. Empty when the ring is off.
-  std::vector<TraceEvent> ring_snapshot() const;
-  /// Events evicted from the ring since enable_ring (0 when none dropped —
-  /// reports use this to flag truncated trajectories).
-  std::uint64_t ring_dropped() const;
-  /// Total events recorded (ring + stream) since construction/disable().
-  std::uint64_t recorded() const;
 
  private:
   Tracer();
 
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
-  bool ring_on_ = false;
-  std::size_t capacity_ = 0;
-  std::vector<TraceEvent> ring_;  ///< circular once full
-  std::size_t next_ = 0;          ///< ring write position
-  std::uint64_t dropped_ = 0;
-  std::uint64_t recorded_ = 0;
-  std::ofstream stream_;
   std::chrono::steady_clock::time_point epoch_;
 };
 
@@ -130,8 +95,8 @@ class ScopedPhase {
 };
 
 /// Parses a JSON-lines trace file (blank lines skipped, events of unknown
-/// kind skipped). Throws IoError on unreadable paths, ParseError on
-/// malformed lines.
+/// kind skipped). Throws IoError on unreadable paths, ParseError naming
+/// "path:line" on malformed lines.
 std::vector<TraceEvent> read_trace_file(const std::string& path);
 
 }  // namespace acclaim::telemetry

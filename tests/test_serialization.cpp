@@ -8,6 +8,7 @@
 #include "core/model.hpp"
 #include "ml/forest.hpp"
 #include "ml/tree.hpp"
+#include "reference_forest.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -41,11 +42,13 @@ TEST(TreeSerialization, RoundTripPredictionsIdentical) {
   EXPECT_EQ(back.node_count(), tree.node_count());
   EXPECT_EQ(back.depth(), tree.depth());
   for (const auto& row : s.X) {
-    EXPECT_DOUBLE_EQ(back.predict(row), tree.predict(row));
+    EXPECT_DOUBLE_EQ(testing_support::reference_predict(back, row),
+                     testing_support::reference_predict(tree, row));
   }
   // Text round trip too.
   const auto reparsed = ml::DecisionTree::from_json(util::Json::parse(tree.to_json().dump()));
-  EXPECT_DOUBLE_EQ(reparsed.predict(s.X[0]), tree.predict(s.X[0]));
+  EXPECT_DOUBLE_EQ(testing_support::reference_predict(reparsed, s.X[0]),
+                   testing_support::reference_predict(tree, s.X[0]));
 }
 
 TEST(TreeSerialization, RejectsMalformedDocuments) {

@@ -3,14 +3,23 @@
 // untrusted-input handling, and the serving-vs-direct differential guarantee.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "collectives/types.hpp"
 #include "core/model.hpp"
 #include "serve/daemon.hpp"
 #include "serve/decision_cache.hpp"
@@ -461,6 +470,82 @@ TEST(Protocol, RoundTripsWellFormedRequests) {
   EXPECT_EQ(again.queries[0].msg_bytes, req.queries[0].msg_bytes);
 }
 
+TEST(LineFramer, ReassemblesLinesSplitAcrossAppends) {
+  serve::LineFramer framer;
+  const auto feed = [&](const std::string& bytes) { framer.append(bytes.data(), bytes.size()); };
+  std::string line;
+  feed(R"({"op":)");
+  EXPECT_FALSE(framer.next(line));
+  feed("\"ping\"}\n\n{\"op\":\"stats\"}\n{\"o");
+  ASSERT_TRUE(framer.next(line));
+  EXPECT_EQ(line, R"({"op":"ping"})");
+  ASSERT_TRUE(framer.next(line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(framer.next(line));
+  EXPECT_EQ(line, R"({"op":"stats"})");
+  EXPECT_FALSE(framer.next(line));
+  feed("p\":\"shutdown\"}\n");
+  ASSERT_TRUE(framer.next(line));
+  EXPECT_EQ(line, R"({"op":"shutdown"})");
+  EXPECT_FALSE(framer.overflowed());
+}
+
+TEST(LineFramer, OverflowsPastTheLineCapWithOrWithoutANewline) {
+  const std::string at_cap(serve::kMaxLineBytes, 'x');
+  std::string line;
+  {
+    serve::LineFramer framer;  // a line of exactly the cap is accepted
+    framer.append(at_cap.data(), at_cap.size());
+    framer.append("\n", 1);
+    ASSERT_TRUE(framer.next(line));
+    EXPECT_EQ(line.size(), serve::kMaxLineBytes);
+  }
+  {
+    serve::LineFramer framer;  // one byte more, still waiting for '\n'
+    framer.append(at_cap.data(), at_cap.size());
+    EXPECT_FALSE(framer.next(line));
+    EXPECT_FALSE(framer.overflowed());
+    framer.append("x", 1);
+    EXPECT_FALSE(framer.next(line));
+    EXPECT_TRUE(framer.overflowed());
+  }
+  {
+    serve::LineFramer framer;  // a complete line over the cap
+    framer.append(at_cap.data(), at_cap.size());
+    framer.append("x\n{}\n", 5);
+    EXPECT_FALSE(framer.next(line));
+    EXPECT_TRUE(framer.overflowed());
+    EXPECT_FALSE(framer.next(line)) << "nothing is served after an overflow";
+  }
+}
+
+TEST(LineFramer, LargestBatchFitsUnderTheLineCap) {
+  // kMaxBatch queries with the longest collective name and every numeric
+  // field at its cap must frame as one line.
+  coll::Collective longest = coll::all_collectives().front();
+  for (coll::Collective c : coll::all_collectives()) {
+    if (std::strlen(coll::collective_name(c)) > std::strlen(coll::collective_name(longest))) {
+      longest = c;
+    }
+  }
+  serve::Request req;
+  req.op = serve::Op::Batch;
+  req.topology = std::string(256, 't');
+  req.queries.assign(serve::kMaxBatch,
+                     bench::Scenario{longest, static_cast<int>(serve::kMaxNodes),
+                                     static_cast<int>(serve::kMaxPpn),
+                                     std::uint64_t{1} << 62});
+  const std::string batch = serve::request_to_json(req).dump() + "\n";
+  EXPECT_LT(batch.size(), serve::kMaxLineBytes);
+  serve::LineFramer framer;
+  std::string line;
+  for (std::size_t off = 0; off < batch.size(); off += 4096) {
+    framer.append(batch.data() + off, std::min<std::size_t>(4096, batch.size() - off));
+  }
+  ASSERT_TRUE(framer.next(line));
+  EXPECT_EQ(line.size() + 1, batch.size());
+}
+
 // ---------------------------------------------------------------------------
 // Daemon
 
@@ -567,6 +652,123 @@ TEST_F(DaemonTest, ServeStreamHandlesLinesUntilShutdown) {
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_TRUE(util::Json::parse(line).at("ok").as_bool());
   EXPECT_FALSE(std::getline(lines, line));
+}
+
+TEST_F(DaemonTest, ServeStreamAnswersAnOversizedLineOnceAndStops) {
+  std::istringstream in(std::string(serve::kMaxLineBytes + 1, 'x') + "\n{\"op\":\"ping\"}\n");
+  std::ostringstream out;
+  EXPECT_EQ(daemon_.serve_stream(in, out), 0u);
+  std::istringstream lines(out.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  const util::Json r = util::Json::parse(line);
+  EXPECT_FALSE(r.at("ok").as_bool());
+  EXPECT_NE(r.at("error").as_string().find("exceeds"), std::string::npos);
+  EXPECT_FALSE(std::getline(lines, line)) << "the stream must close after the oversized line";
+}
+
+TEST_F(DaemonTest, ServeStreamHandlesAFinalUnterminatedLine) {
+  std::istringstream in("{\"op\":\"ping\"}\n{\"op\":\"stats\"}");
+  std::ostringstream out;
+  EXPECT_EQ(daemon_.serve_stream(in, out), 2u);
+}
+
+/// A raw client connection whose sends and receives give up after 5 s, so
+/// a daemon that never answers fails the test instead of hanging it.
+/// Returns -1 when the connection is refused.
+int connect_with_timeouts(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Serves a daemon on a unix socket from a background thread for one
+/// test, and shuts it down through a fresh connection when the scope ends.
+class SocketDaemon {
+ public:
+  SocketDaemon(serve::Daemon& daemon, std::string path) : path_(std::move(path)) {
+    thread_ = std::thread([&daemon, this] {
+      try {
+        daemon.serve_unix_socket(path_);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "acclaimd exited: " << e.what();
+      }
+    });
+    for (int attempt = 0; attempt < 500; ++attempt) {
+      const int fd = connect_with_timeouts(path_);
+      if (fd >= 0) {
+        ::close(fd);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ~SocketDaemon() {
+    try {
+      serve::unix_socket_request(path_, R"({"op":"shutdown"})");
+      // Already exited; join() returns at once. acclaim-lint: allow(hyg-catch-log)
+    } catch (const IoError&) {
+    }
+    thread_.join();
+  }
+  SocketDaemon(const SocketDaemon&) = delete;
+  SocketDaemon& operator=(const SocketDaemon&) = delete;
+
+ private:
+  std::string path_;
+  std::thread thread_;
+};
+
+TEST_F(DaemonTest, UnixSocketAnswersAnOversizedLineOnceAndCloses) {
+  const std::string path =
+      ::testing::TempDir() + "acclaimd_framing_" + std::to_string(::getpid()) + ".sock";
+  SocketDaemon running(daemon_, path);
+  const int fd = connect_with_timeouts(path);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+
+  // A newline-free flood past the cap. The daemon stops reading at the cap
+  // and closes, so the tail of this send may fail; only the reply matters.
+  const std::string flood(serve::kMaxLineBytes + 64 * 1024, 'x');
+  for (std::size_t off = 0; off < flood.size();) {
+    const ssize_t n = ::send(fd, flood.data() + off, flood.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) {
+      break;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char chunk[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  // End of stream, or a reset because the daemon closed with the flood
+  // unread; a receive timeout means the daemon never hung up.
+  const bool closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+  ::close(fd);
+
+  ASSERT_FALSE(reply.empty()) << "no reply within the receive timeout";
+  ASSERT_EQ(reply.find('\n'), reply.size() - 1) << "expected exactly one response line";
+  const util::Json r = util::Json::parse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(r.at("ok").as_bool());
+  EXPECT_NE(r.at("error").as_string().find("exceeds"), std::string::npos);
+  EXPECT_TRUE(closed) << "the daemon must close the connection after the error";
+  // The daemon itself keeps serving new connections.
+  EXPECT_TRUE(
+      util::Json::parse(serve::unix_socket_request(path, R"({"op":"ping"})")).at("ok").as_bool());
 }
 
 }  // namespace

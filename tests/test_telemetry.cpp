@@ -317,6 +317,28 @@ TEST_F(TelemetryTest, ReaderSkipsBlankLinesAndUnknownKinds) {
   EXPECT_THROW(telemetry::read_trace_file(temp_path("no_such_trace.jsonl")), IoError);
 }
 
+TEST_F(TelemetryTest, ReaderErrorsNameTheFileAndLine) {
+  const std::string path = temp_path("trace_malformed.jsonl");
+  {
+    std::ofstream out(path);
+    out << R"({"event":"model_refit","t_ms":1.0,"label":"bcast"})" << "\n"
+        << "{not json\n";
+  }
+  try {
+    telemetry::read_trace_file(path);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos) << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(TelemetryTest, ZeroRingCapacityIsRejected) {
+  telemetry::Tracer& tr = telemetry::tracer();
+  EXPECT_THROW(tr.enable_ring(0), InvalidArgument);
+  EXPECT_FALSE(tr.enabled());
+}
+
 TEST_F(TelemetryTest, ScopedPhaseEmitsWallTimeAndAnnotations) {
   telemetry::Tracer& tr = telemetry::tracer();
   tr.enable_ring(16);
