@@ -60,7 +60,7 @@ Replay replay(const std::vector<bench::BenchmarkPoint>& points, const simnet::To
   // Parallel batches in the same priority order.
   core::LiveEnvironment par_env(topo, alloc, 11);
   const core::CollectionScheduler sched(
-      core::CollectionSchedulerConfig{topology_aware, 1 << 20});
+      core::CollectionSchedulerConfig{topology_aware});
   std::vector<bench::BenchmarkPoint> pool = points;
   std::vector<double> inflation;
   int batches = 0;

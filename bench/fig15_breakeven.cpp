@@ -4,9 +4,9 @@
 // amortize within minutes to an hour, so typical Theta jobs benefit.
 #include <filesystem>
 #include <iostream>
+#include <optional>
 
 #include "common.hpp"
-#include "core/pipeline.hpp"
 #include "platform/app_model.hpp"
 #include "util/csv.hpp"
 #include "util/units.hpp"
@@ -18,47 +18,27 @@ namespace {
 /// Training-time band (seconds): per-collective training times — an
 /// application pays for the collectives it actually uses (most tune one or
 /// two), so the paper's band is per-collective, not the four-collective job
-/// total. Reads the Fig. 14 results when present; otherwise measures two
-/// quick jobs itself.
-std::pair<double, double> training_band() {
-  const std::string fig14 = "results/fig14.csv";
-  if (std::filesystem::exists(fig14)) {
-    const util::CsvTable t = util::read_csv(fig14);
-    double lo = 1e30;
-    double hi = 0.0;
-    for (const char* col_name : {"allgather_s", "allreduce_s", "bcast_s", "reduce_s"}) {
-      const std::size_t col = t.column_index(col_name);
-      for (const auto& row : t.rows) {
-        const double v = std::stod(row[col]);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-    }
-    if (hi > 0.0) {
-      std::cout << "(per-collective training times from " << fig14 << ")\n";
-      return {lo, hi};
-    }
+/// total. The band comes from the Fig. 14 results only; std::nullopt when
+/// that file is missing or holds no training time.
+std::optional<std::pair<double, double>> training_band(const std::string& fig14) {
+  if (!std::filesystem::exists(fig14)) {
+    return std::nullopt;
   }
-  std::cout << "(results/fig14.csv not found; measuring 32- and 128-node jobs)\n";
-  core::ActiveLearnerConfig learner;
-  learner.forest = benchharness::bench_forest();
-  learner.max_points = 250;
-  const core::AcclaimPipeline pipeline(simnet::theta_like(), learner);
+  const util::CsvTable t = util::read_csv(fig14);
   double lo = 1e30;
   double hi = 0.0;
-  for (int nodes : {32, 128}) {
-    core::JobSpec spec;
-    spec.collectives = coll::paper_collectives();
-    spec.nnodes = nodes;
-    spec.ppn = 16;
-    spec.max_msg = 1 << 20;
-    spec.job_seed = 40 + static_cast<std::uint64_t>(nodes);
-    for (const auto& t : pipeline.run(spec).training) {
-      lo = std::min(lo, t.train_time_s);
-      hi = std::max(hi, t.train_time_s);
+  for (const char* col_name : {"allgather_s", "allreduce_s", "bcast_s", "reduce_s"}) {
+    const std::size_t col = t.column_index(col_name);
+    for (const auto& row : t.rows) {
+      const double v = std::stod(row[col]);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
   }
-  return {lo, hi};
+  if (hi <= 0.0) {
+    return std::nullopt;
+  }
+  return std::make_pair(lo, hi);
 }
 
 }  // namespace
@@ -69,7 +49,15 @@ int main(int argc, char** argv) {
   benchharness::banner("Fig. 15: minimum application runtime for overall acceleration",
                        "Expectation: ~1.01x speedup needs a few hours; >=1.05x well under an hour");
 
-  const auto [lo_s, hi_s] = training_band();
+  const std::string fig14 = "results/fig14.csv";
+  const auto band = training_band(fig14);
+  if (!band) {
+    std::cerr << "fig15_breakeven: " << fig14
+              << " missing or empty; run fig14_production_training from this directory first\n";
+    return 1;
+  }
+  std::cout << "(per-collective training times from " << fig14 << ")\n";
+  const auto [lo_s, hi_s] = *band;
   std::cout << "training-time band: " << util::format_seconds(lo_s) << " .. "
             << util::format_seconds(hi_s) << "\n\n";
 

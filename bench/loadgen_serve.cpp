@@ -7,11 +7,12 @@
 //     which exercises the hot cache-hit path, and
 //   - trace-drawn message sizes (traces::generate_trace, ~16% non-P2),
 //     which keep producing fresh cache keys and exercise the miss path
-//     through the batched forest kernel.
-// Requests alternate between single-query select() and batched
-// select_batch() so both telemetry histograms (serve.query_us,
-// serve.batch_us) fill, then p50/p95/p99 are read back from the log2
-// buckets and written to BENCH_serve.json via --json-out.
+//     through CollectiveModel::select.
+// Requests alternate between single-query select() and 64-query
+// select_batch() requests (a loop over the same per-query step) so both
+// telemetry histograms (serve.query_us, serve.batch_us) fill, then
+// p50/p95/p99 are read back from the log2 buckets and written to
+// BENCH_serve.json via --json-out.
 //
 // The run ends with the differential check the serving design promises:
 // every distinct scenario seen (up to a cap) is re-asked through the

@@ -292,7 +292,7 @@ void BM_JackknifeSweepPointer(benchmark::State& state) {
   std::vector<double> scratch;
   for (auto _ : state) {
     testing_support::reference_jackknife_batch(fx.forest, fx.rows.data(), fx.rows.size(),
-                                               var.data(), nullptr, scratch);
+                                               var.data(), scratch);
     benchmark::DoNotOptimize(var.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -306,7 +306,7 @@ void BM_JackknifeSweepFused(benchmark::State& state) {
   std::vector<double> var(fx.rows.size());
   std::vector<double> scratch;
   for (auto _ : state) {
-    fx.forest.jackknife_batch(fx.rows.data(), fx.rows.size(), var.data(), nullptr, scratch);
+    fx.forest.jackknife_batch(fx.rows.data(), fx.rows.size(), var.data(), scratch);
     benchmark::DoNotOptimize(var.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -337,14 +337,14 @@ int run_forest_gate(const std::string& out_dir) {
   const SweepFixture& fx = SweepFixture::instance();
   const std::size_t n = fx.rows.size();
 
-  std::vector<double> var_ptr(n), mean_ptr(n), var_flat(n), mean_flat(n);
+  std::vector<double> var_ptr(n), var_flat(n);
   std::vector<double> scratch;
   constexpr int kReps = 7;
-  auto time_path = [&](auto sweep, double* var, double* mean) {
+  auto time_path = [&](auto sweep, double* var) {
     double best_s = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {  // first rep doubles as warmup
       const auto t0 = std::chrono::steady_clock::now();
-      sweep(fx.rows.data(), n, var, mean, scratch);
+      sweep(fx.rows.data(), n, var, scratch);
       const double s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       if (rep > 0) {
@@ -354,19 +354,18 @@ int run_forest_gate(const std::string& out_dir) {
     return best_s;
   };
   const double ptr_s = time_path(
-      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, double* mean,
-          std::vector<double>& s) {
-        testing_support::reference_jackknife_batch(fx.forest, rows, n_rows, var, mean, s);
+      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, std::vector<double>& s) {
+        testing_support::reference_jackknife_batch(fx.forest, rows, n_rows, var, s);
       },
-      var_ptr.data(), mean_ptr.data());
+      var_ptr.data());
   const double flat_s = time_path(
-      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, double* mean,
-          std::vector<double>& s) { fx.forest.jackknife_batch(rows, n_rows, var, mean, s); },
-      var_flat.data(), mean_flat.data());
+      [&](const ml::FeatureRow* rows, std::size_t n_rows, double* var, std::vector<double>& s) {
+        fx.forest.jackknife_batch(rows, n_rows, var, s);
+      },
+      var_flat.data());
 
   const bool bitwise_equal =
-      std::memcmp(var_ptr.data(), var_flat.data(), n * sizeof(double)) == 0 &&
-      std::memcmp(mean_ptr.data(), mean_flat.data(), n * sizeof(double)) == 0;
+      std::memcmp(var_ptr.data(), var_flat.data(), n * sizeof(double)) == 0;
   const double speedup = ptr_s / flat_s;
 
   std::cout << "forest gate: " << n << " rows x " << fx.forest.n_trees() << " trees\n"

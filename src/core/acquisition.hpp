@@ -68,10 +68,14 @@ class RandomAcquisition final : public AcquisitionPolicy {
 /// (See DESIGN.md "deviations".)
 enum class VariancePick { WeightedSampling, Argmax };
 
+/// The paper's non-P2 cadence (§IV-B): every 5th collected point is a
+/// non-P2 message-size variant, an 80-20 split.
+inline constexpr int kPaperNonp2Cadence = 5;
+
 struct AcclaimAcquisitionConfig {
-  /// Every n-th pick becomes a non-P2 message-size variant; 5 gives the
-  /// paper's 80-20 split, 0 disables non-P2 sampling entirely.
-  int nonp2_cadence = 5;
+  /// Every n-th pick becomes a non-P2 message-size variant; 0 disables
+  /// non-P2 sampling entirely (the fig11 ablation sweeps this).
+  int nonp2_cadence = kPaperNonp2Cadence;
   VariancePick pick = VariancePick::WeightedSampling;
 };
 

@@ -84,7 +84,7 @@ TrainingResult ActiveLearner::run() {
   int nonp2_counter = 0;
 
   const CollectionScheduler scheduler(
-      CollectionSchedulerConfig{config_.topology_aware, 1 << 20});
+      CollectionSchedulerConfig{config_.topology_aware});
   const bool can_parallel = config_.parallel_collection && env_.topology() != nullptr &&
                             env_.allocation() != nullptr;
 
@@ -144,7 +144,8 @@ TrainingResult ActiveLearner::run() {
         CollectionBatch batch = scheduler.plan(pool, ranked, *env_.topology(),
                                                *env_.allocation(), env_.solo_cost_oracle());
         if (!batch.items.empty()) {
-          // Apply the non-P2 cadence across scheduled items (§IV-B). The
+          // Apply the paper's non-P2 cadence across scheduled items (§IV-B;
+          // sequential picks follow the policy's own setting instead). The
           // substitution changes the message size *after* plan() priced the
           // placement, so the slot's predicted cost no longer describes the
           // point; zeroing it forces the environment to rebuild the schedule
@@ -152,8 +153,7 @@ TrainingResult ActiveLearner::run() {
           for (std::size_t i = 0; i < batch.items.size(); ++i) {
             auto& item = batch.items[i];
             ++nonp2_counter;
-            if (config_.parallel_nonp2_cadence > 0 &&
-                nonp2_counter % config_.parallel_nonp2_cadence == 0) {
+            if (nonp2_counter % kPaperNonp2Cadence == 0) {
               if (const auto m = env_.nonp2_msg_near(item.point.scenario.msg_bytes, rng)) {
                 item.point.scenario.msg_bytes = *m;
                 if (i < batch.predicted_us.size()) {

@@ -44,9 +44,6 @@ struct ActiveLearnerConfig {
   /// scheduler (requires an environment with topology context).
   bool parallel_collection = false;
   bool topology_aware = true;
-  /// Non-P2 cadence applied in *parallel* mode (sequential mode delegates
-  /// this to the acquisition policy).
-  int parallel_nonp2_cadence = 5;
   /// Size of the compute thread pool used for forest fits, jackknife
   /// sweeps, and acquisition scoring. 0 leaves the global pool as it is
   /// (default: hardware concurrency, or the ACCLAIM_THREADS environment

@@ -81,6 +81,11 @@ std::optional<std::uint64_t> pick_nonp2_from(const std::vector<std::uint64_t>& s
   return pool[rng.index(pool.size())];
 }
 
+/// Extra concurrent flows each co-running benchmark injects into a rack
+/// uplink / global pair it shares with another (only schedules that break
+/// the disjointness rules, e.g. the naive ablation scheduler, see any).
+constexpr int kInterferenceFlows = 6;
+
 }  // namespace
 
 DatasetEnvironment::DatasetEnvironment(const bench::Dataset& dataset) : dataset_(dataset) {
@@ -108,12 +113,11 @@ std::optional<std::uint64_t> DatasetEnvironment::nonp2_msg_near(std::uint64_t p2
 }
 
 LiveEnvironment::LiveEnvironment(const simnet::Topology& topo, const simnet::Allocation& alloc,
-                                 std::uint64_t job_seed, LiveEnvironmentConfig config)
+                                 std::uint64_t job_seed)
     : topo_(topo),
       alloc_(alloc),
       net_(topo, job_seed),
-      mb_(net_, config.microbench),
-      config_(config),
+      mb_(net_),
       noise_seed_(job_seed ^ 0xa5a5a5a5deadbeefULL) {}
 
 bench::Measurement LiveEnvironment::measure(const bench::BenchmarkPoint& point) {
@@ -156,12 +160,12 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
       }
       for (int r : feet[j].racks) {
         if (feet[i].racks.count(r)) {
-          rack_flows[i][r] += config_.interference_flows;
+          rack_flows[i][r] += kInterferenceFlows;
         }
       }
       for (int p : feet[j].pairs) {
         if (feet[i].pairs.count(p)) {
-          pair_flows[i][p] += config_.interference_flows;
+          pair_flows[i][p] += kInterferenceFlows;
         }
       }
     }

@@ -110,31 +110,23 @@ class DatasetEnvironment final : public TuningEnvironment {
   std::map<int, std::vector<std::uint64_t>> msgs_;
 };
 
-struct LiveEnvironmentConfig {
-  bench::MicrobenchConfig microbench;
-  /// Extra concurrent flows each co-running benchmark injects into a rack
-  /// uplink / global pair it touches (used when a schedule violates the
-  /// disjointness rules, e.g. the naive ablation scheduler).
-  int interference_flows = 6;
-};
-
 /// Fig. 1(b): measurements execute on the simulated machine inside the job's
 /// allocation; co-scheduled batches run concurrently and interfere when they
 /// share racks or pairs.
 ///
 /// Threading: measure_scheduled() runs the batch's simulated microbenchmarks
-/// concurrently on the global thread pool — the placements are disjoint node
-/// regions, so each item only reads the shared (immutable) NetworkModel and
-/// writes its own result slot. Measurement noise comes from counter-derived
+/// one after another on the calling thread. They are simulated-concurrent
+/// (the clock is charged the batch makespan), and their placements are
+/// disjoint node regions. Measurement noise comes from counter-derived
 /// per-measurement streams (Rng::stream over a serial measurement sequence
-/// number), so every measured value is bitwise-identical for any thread
-/// count and for a sequential re-run of the same seed.
+/// number), so every measured value is a pure function of the seed and the
+/// batch, whatever the global thread count.
 class LiveEnvironment final : public TuningEnvironment {
  public:
   /// The environment references `topo` and `alloc`; both must outlive it.
   /// `job_seed` fixes this job's network realization and noise streams.
   LiveEnvironment(const simnet::Topology& topo, const simnet::Allocation& alloc,
-                  std::uint64_t job_seed, LiveEnvironmentConfig config = {});
+                  std::uint64_t job_seed);
 
   bench::Measurement measure(const bench::BenchmarkPoint& point) override;
   std::vector<bench::Measurement> measure_scheduled(
@@ -159,7 +151,6 @@ class LiveEnvironment final : public TuningEnvironment {
   const simnet::Allocation& alloc_;
   simnet::NetworkModel net_;
   bench::Microbenchmark mb_;
-  LiveEnvironmentConfig config_;
   std::uint64_t noise_seed_ = 0;
   /// Serial measurement sequence number: stream ids are handed out in batch
   /// order before any item runs, which pins the noise to the measurement.

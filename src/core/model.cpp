@@ -93,7 +93,7 @@ std::vector<double> CollectiveModel::jackknife_variances(
     for (std::size_t i = lo; i < hi; ++i) {
       rows[i - lo] = encode_point(points[i]);
     }
-    forest_->jackknife_batch(rows.data(), hi - lo, out.data() + lo, nullptr, scratch);
+    forest_->jackknife_batch(rows.data(), hi - lo, out.data() + lo, scratch);
   });
   static telemetry::Histogram& sweep_ms =
       telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
@@ -146,43 +146,6 @@ coll::Algorithm CollectiveModel::select(const bench::Scenario& s) const {
     }
   }
   return best;
-}
-
-std::vector<coll::Algorithm> CollectiveModel::select_batch(
-    const std::vector<bench::Scenario>& scenarios) const {
-  if (scenarios.empty()) {
-    return {};
-  }
-  require(trained(), "model not trained");
-  const auto algorithms = coll::algorithms_for(collective_);
-  const std::size_t n_algs = algorithms.size();
-  std::vector<coll::Algorithm> out(scenarios.size(), algorithms.front());
-  // One scenario per slot: each evaluates its candidate block through the
-  // fused kernel and scans the means with select()'s strict `<` tie-break,
-  // so the result is the per-scenario select() bit for bit.
-  util::global_pool().parallel_for(0, scenarios.size(), [&](std::size_t i) {
-    require(scenarios[i].collective == collective_,
-            "scenario belongs to a different collective");
-    thread_local std::vector<ml::FeatureRow> rows;
-    thread_local std::vector<double> means;
-    thread_local std::vector<double> variances;
-    thread_local std::vector<double> scratch;
-    rows.resize(n_algs);
-    means.resize(n_algs);
-    variances.resize(n_algs);
-    for (std::size_t a = 0; a < n_algs; ++a) {
-      rows[a] = encode_point(bench::BenchmarkPoint{scenarios[i], algorithms[a]});
-    }
-    forest_->jackknife_batch(rows.data(), n_algs, variances.data(), means.data(), scratch);
-    std::size_t best = 0;
-    for (std::size_t a = 1; a < n_algs; ++a) {
-      if (means[a] < means[best]) {
-        best = a;
-      }
-    }
-    out[i] = algorithms[best];
-  });
-  return out;
 }
 
 SelectionExplanation CollectiveModel::explain(const bench::Scenario& s) const {

@@ -100,13 +100,6 @@ class CollectiveModel {
   /// The algorithm with the lowest predicted time for the scenario.
   coll::Algorithm select(const bench::Scenario& s) const;
 
-  /// select() for a batch of scenarios in one fused forest pass: all
-  /// (scenario x algorithm) rows are evaluated through the batched SoA
-  /// kernel, then each scenario's argmin uses select()'s `<` tie-break.
-  /// Guaranteed to return exactly select(s) per scenario; the rule
-  /// generator's grid sweep runs on this when the flight recorder is off.
-  std::vector<coll::Algorithm> select_batch(const std::vector<bench::Scenario>& scenarios) const;
-
   /// select() with its work shown: per-candidate mean predictions and tree
   /// votes, runner-up and margin, and the chosen candidate's jackknife
   /// variance. Guaranteed to choose the same algorithm as select() for the

@@ -148,23 +148,8 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
       auto scenario = [&](std::uint64_t msg) {
         return bench::Scenario{c, nnodes, ppn, msg};
       };
-      // Batched grid sweep: with the flight recorder off, the bucket's whole
-      // msg grid goes through one select_batch call (fused SoA kernel, one
-      // parallel sweep) — guaranteed to return exactly select() per scenario,
-      // so the emitted rules are unchanged. With auditing on, the walk stays
-      // serial per query so record order and bytes are untouched.
-      std::vector<coll::Algorithm> grid;
-      if (!telemetry::audit().enabled()) {
-        std::vector<bench::Scenario> scenarios;
-        scenarios.reserve(msgs.size());
-        for (std::uint64_t msg : msgs) {
-          scenarios.push_back(scenario(msg));
-        }
-        grid = model.select_batch(scenarios);
-      }
       auto grid_select = [&](std::size_t i) {
-        return guarded(scenario(msgs[i]),
-                       grid.empty() ? select_audited(scenario(msgs[i])) : grid[i]);
+        return guarded(scenario(msgs[i]), select_audited(scenario(msgs[i])));
       };
       coll::Algorithm current = grid_select(0);
       for (std::size_t i = 1; i < msgs.size(); ++i) {

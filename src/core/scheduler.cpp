@@ -9,9 +9,7 @@
 
 namespace acclaim::core {
 
-CollectionScheduler::CollectionScheduler(CollectionSchedulerConfig config) : config_(config) {
-  require(config_.max_batch >= 1, "scheduler batch cap must be >= 1");
-}
+CollectionScheduler::CollectionScheduler(CollectionSchedulerConfig config) : config_(config) {}
 
 CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoint>& pool,
                                           const std::vector<std::size_t>& ranked,
@@ -24,9 +22,6 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
   // used region is always a prefix and `cursor` fully describes it.
   int cursor = 0;
   for (std::size_t pri : ranked) {
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch) {
-      break;
-    }
     require(pri < pool.size(), "ranked index out of pool range");
     const int need = pool[pri].scenario.nnodes;
     if (cursor + need > alloc.num_nodes()) {

@@ -41,8 +41,6 @@ struct CollectionSchedulerConfig {
   /// false = the naive ablation: pack sequentially with no rack
   /// disjointness, so co-running benchmarks interfere (§III-D hazard).
   bool topology_aware = true;
-  /// Cap on benchmarks per batch (the paper has none; kept as a safety).
-  int max_batch = 1 << 20;
 };
 
 class CollectionScheduler {

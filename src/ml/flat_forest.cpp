@@ -158,8 +158,7 @@ void FlatForest::predict_trees_batch(const FeatureRow* rows, std::size_t n_rows,
 }
 
 void FlatForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
-                                 double* variances, double* means,
-                                 std::vector<double>& scratch) const {
+                                 double* variances, std::vector<double>& scratch) const {
   require(built(), "FlatForest::jackknife_batch called before build");
   if (n_rows == 0) {
     return;
@@ -169,21 +168,11 @@ void FlatForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
     scratch.resize(n_rows * nt);
   }
   predict_trees_batch(rows, n_rows, scratch.data());
-  // Per-row reductions in tree order: the mean accumulation matches
-  // RandomForest::predict, the variance matches ml::jackknife_variance —
-  // both serially over the same values, so the fusion changes no bit.
+  // Per-row reductions in tree order, serially over the same values
+  // ml::jackknife_variance sees on the scalar path, so the fusion changes
+  // no bit.
   for (std::size_t r = 0; r < n_rows; ++r) {
-    const double* preds = scratch.data() + r * nt;
-    if (variances != nullptr) {
-      variances[r] = jackknife_variance(preds, nt);
-    }
-    if (means != nullptr) {
-      double sum = 0.0;
-      for (std::size_t t = 0; t < nt; ++t) {
-        sum += preds[t];
-      }
-      means[r] = sum / static_cast<double>(nt);
-    }
+    variances[r] = jackknife_variance(scratch.data() + r * nt, nt);
   }
 }
 

@@ -56,15 +56,14 @@ class FlatForest {
   void predict_trees_batch(const FeatureRow* rows, std::size_t n_rows, double* out) const;
 
   /// Fused batched predict + jackknife: one tree-major traversal pass fills
-  /// a per-row prediction block, then each row's mean and jackknife
-  /// variance are reduced from that block in tree order — trees are never
-  /// re-traversed, and both reductions are bitwise-identical to
-  /// ml::jackknife_variance / predict on the scalar path. `variances` and
-  /// `means` each receive n_rows values; either may be null to skip that
-  /// reduction. `scratch` is caller-owned working memory (grown to
-  /// n_rows * n_trees()), so hot loops can reuse one buffer per thread.
+  /// a per-row prediction block, then each row's jackknife variance is
+  /// reduced from that block in tree order — trees are never re-traversed,
+  /// and the reduction is bitwise-identical to ml::jackknife_variance on the
+  /// scalar path. `variances` receives n_rows values. `scratch` is
+  /// caller-owned working memory (grown to n_rows * n_trees()), so hot
+  /// loops can reuse one buffer per thread.
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
-                       double* means, std::vector<double>& scratch) const;
+                       std::vector<double>& scratch) const;
 
  private:
   // One arena for all trees; tree t's nodes occupy [roots_[t], roots_[t+1])

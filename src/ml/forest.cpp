@@ -83,13 +83,12 @@ void RandomForest::predict_trees(const FeatureRow& row, std::vector<double>& out
 }
 
 void RandomForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
-                                   double* variances, double* means,
-                                   std::vector<double>& scratch) const {
+                                   double* variances, std::vector<double>& scratch) const {
   require(fitted(), "RandomForest::jackknife_batch called before fit");
   if (n_rows == 0) {
     return;
   }
-  flat_.jackknife_batch(rows, n_rows, variances, means, scratch);
+  flat_.jackknife_batch(rows, n_rows, variances, scratch);
   // One "predict" per row keeps the counter's meaning (forest evaluations)
   // identical between the scalar and batched entry points.
   static telemetry::Counter& predicts = telemetry::metrics().counter("ml.forest.predicts");

@@ -45,14 +45,13 @@ class RandomForest {
   void predict_trees(const FeatureRow& row, std::vector<double>& out) const;
 
   /// Fused batched predict + jackknife over `n_rows` rows: `variances[r]`
-  /// gets the jackknife variance of row r's per-tree predictions and
-  /// `means[r]` their tree-order mean — one traversal pass, no per-row
-  /// re-walk of the trees. Either output may be null to skip that
-  /// reduction. `scratch` is caller-owned working memory (one buffer per
-  /// thread in parallel sweeps). Bitwise-identical to predict_trees +
-  /// jackknife_variance per row.
+  /// gets the jackknife variance of row r's per-tree predictions — one
+  /// traversal pass, no per-row re-walk of the trees. `scratch` is
+  /// caller-owned working memory (one buffer per thread in parallel
+  /// sweeps). Bitwise-identical to predict_trees + jackknife_variance per
+  /// row.
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
-                       double* means, std::vector<double>& scratch) const;
+                       std::vector<double>& scratch) const;
 
   /// Serializes the fitted forest. Requires fitted().
   util::Json to_json() const;

@@ -190,12 +190,16 @@ void claim_socket_path(const std::string& path, const sockaddr_un& addr) {
   ::unlink(path.c_str());
 }
 
-/// Sends all of `data` (blocking).
+/// Sends all of `data` (blocking), retrying interrupted sends. Throws
+/// IoError when the peer is gone.
 void send_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
     const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
       throw IoError(std::string("socket send failed: ") + std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
@@ -231,31 +235,35 @@ std::uint64_t Daemon::serve_unix_socket(const std::string& path) {
     }
     // Serve this connection until the peer closes (or shutdown). Lines may
     // arrive split across reads; the framer buffers until '\n', and an
-    // oversized line ends the connection after one error response.
+    // oversized line ends the connection after one error response. A reply
+    // the peer is no longer there to take ends this connection only.
     LineFramer framer;
     std::string line;
     char chunk[4096];
-    while (!shutdown_) {
-      const ssize_t n = ::recv(conn.get(), chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        break;
-      }
-      framer.append(chunk, static_cast<std::size_t>(n));
-      while (framer.next(line)) {
-        if (line.empty()) {
+    try {
+      while (!shutdown_) {
+        const ssize_t n = ::recv(conn.get(), chunk, sizeof(chunk), 0);
+        if (n < 0 && errno == EINTR) {
           continue;
         }
-        send_all(conn.get(), handle_line(line) + "\n");
-        ++handled;
-      }
-      if (framer.overflowed()) {
-        try {
-          send_all(conn.get(), oversized_line_response() + "\n");
-        } catch (const IoError& e) {
-          AC_LOG_WARN() << "acclaimd: client left before its oversized-line error: " << e.what();
+        if (n <= 0) {
+          break;
         }
-        break;
+        framer.append(chunk, static_cast<std::size_t>(n));
+        while (framer.next(line)) {
+          if (line.empty()) {
+            continue;
+          }
+          send_all(conn.get(), handle_line(line) + "\n");
+          ++handled;
+        }
+        if (framer.overflowed()) {
+          send_all(conn.get(), oversized_line_response() + "\n");
+          break;
+        }
       }
+    } catch (const IoError& e) {
+      AC_LOG_WARN() << "acclaimd: client left before reading its replies: " << e.what();
     }
   }
   ::unlink(path.c_str());

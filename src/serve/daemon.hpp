@@ -7,9 +7,10 @@
 // response, not a dropped connection. The one exception is a line longer
 // than kMaxLineBytes: both transports frame input through LineFramer,
 // answer such a line with one error response and then close, since the
-// stream cannot be resynchronized. Batch requests are the concurrency
-// mechanism: a client that wants parallelism ships {"op":"batch",...} and
-// the serving core fans the misses out on the global thread pool.
+// stream cannot be resynchronized. A client that wants fewer round trips
+// ships {"op":"batch",...}; the serving core answers it query by query. A
+// client that hangs up without reading its replies ends only its own
+// connection.
 #pragma once
 
 #include <iosfwd>

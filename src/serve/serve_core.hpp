@@ -1,29 +1,26 @@
-// acclaimd serving core: model store + decision cache + batched prediction.
+// acclaimd serving core: model store + decision cache.
 //
 // This is the library behind `acclaim serve` (the NDJSON daemon) and the
 // loadgen bench: a long-lived object that answers algorithm-selection
-// queries for many concurrent jobs. The read path is:
+// queries for many concurrent jobs. Every query, alone or inside a batch,
+// takes the same path:
 //
-//   query --> quantize(features) --> DecisionCache probe --(hit)--> answer
-//                 |
-//                (miss)
+//   query --> resolve ModelSnapshot (atomic load, never locks out publishers)
 //                 v
-//          ModelSnapshot (atomic load, never locks out publishers)
+//          quantize(snapshot version, features) --> DecisionCache probe
+//                 |                                      |
+//               (miss)                                 (hit) --> answer
 //                 v
-//          CollectiveModel::select / select_batch (flat-forest kernels,
-//          batches fan out on the global thread pool)
-//                 v
-//          DecisionCache::put --> answer
+//          CollectiveModel::select --> DecisionCache::put --> answer
 //
-// Both paths return the same bits as calling CollectiveModel::select
+// Both outcomes return the same bits as calling CollectiveModel::select
 // directly on the published model: the cache key is a lossless quantization
-// (see decision_cache.hpp) that includes the snapshot version, and
-// select_batch is documented (and tested) to equal per-scenario select().
-// The loadgen bench and tests/test_serve.cpp enforce this differentially.
+// (see decision_cache.hpp) that includes the snapshot version. A batch is a
+// loop over single queries, so it adds no second selection path. The
+// loadgen bench and tests/test_serve.cpp enforce this differentially.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,8 +30,6 @@
 namespace acclaim::serve {
 
 struct ServeConfig {
-  int store_shards = 8;
-  int cache_shards = 8;
   std::size_t cache_capacity = 1 << 16;
 };
 
@@ -58,11 +53,10 @@ class ServeCore {
   /// covers the query.
   Decision select(const bench::Scenario& s, const std::string& topology = "default");
 
-  /// Answers a batch of queries against one topology. Cache hits resolve
-  /// immediately; the misses of each snapshot run through the model's
-  /// batched selection kernel (which fans out on the global thread pool).
-  /// Element i is exactly what select(scenarios[i], topology) would return
-  /// (modulo the cache_hit flag).
+  /// Answers a batch of queries against one topology, in order, each
+  /// through the same step as select(): element i is exactly what
+  /// select(scenarios[i], topology) would return at that point. Only the
+  /// telemetry differs (serve.batch_us / serve.batch_size per batch).
   std::vector<Decision> select_batch(const std::vector<bench::Scenario>& scenarios,
                                      const std::string& topology = "default");
 
@@ -71,8 +65,9 @@ class ServeCore {
   std::size_t cache_capacity() const noexcept { return cache_.capacity(); }
 
  private:
-  std::shared_ptr<const ModelSnapshot> resolve_or_throw(const bench::Scenario& s,
-                                                        const std::string& topology) const;
+  /// Resolve the snapshot, probe the cache, select on a miss and store the
+  /// answer: the one step both public entry points take.
+  Decision decide(const bench::Scenario& s, const std::string& topology);
 
   ModelStore store_;
   DecisionCache cache_;

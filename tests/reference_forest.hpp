@@ -64,19 +64,13 @@ inline double reference_predict(const ml::RandomForest& forest, const ml::Featur
 }
 
 /// Scalar form of RandomForest::jackknife_batch: each row walks every tree,
-/// then its jackknife variance and tree-order mean are reduced from those
-/// predictions. Either output may be null to skip that reduction.
+/// then its jackknife variance is reduced from those predictions.
 inline void reference_jackknife_batch(const ml::RandomForest& forest, const ml::FeatureRow* rows,
-                                      std::size_t n_rows, double* variances, double* means,
+                                      std::size_t n_rows, double* variances,
                                       std::vector<double>& scratch) {
   for (std::size_t r = 0; r < n_rows; ++r) {
     reference_predict_trees(forest, rows[r], scratch);
-    if (variances != nullptr) {
-      variances[r] = ml::jackknife_variance(scratch.data(), scratch.size());
-    }
-    if (means != nullptr) {
-      means[r] = reference_mean(scratch);
-    }
+    variances[r] = ml::jackknife_variance(scratch.data(), scratch.size());
   }
 }
 

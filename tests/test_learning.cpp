@@ -79,7 +79,7 @@ TEST_F(SchedulerTest, NaiveSchedulerPacksMoreButSharesRacks) {
     ids[static_cast<std::size_t>(i)] = i;
   }
   const simnet::Allocation alloc(ids);
-  const core::CollectionScheduler naive(core::CollectionSchedulerConfig{false, 1 << 20});
+  const core::CollectionScheduler naive(core::CollectionSchedulerConfig{false});
   const auto batch = naive.plan(pool, ranked, topo_, alloc);
   EXPECT_EQ(batch.items.size(), 8u);  // 8 x 2 nodes fill all 16
   // Benchmarks 0 and 1 share rack 0 — the congestion hazard of §III-D.

@@ -351,23 +351,50 @@ TEST(ServeCore, ServingMatchesDirectSelectionOnHitAndMissPaths) {
       }
     }
   }
-  // Miss path (first pass) and hit path (second pass) both match direct
-  // selection bit for bit.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const bench::Scenario& s : scenarios) {
-      EXPECT_EQ(core.select(s).algorithm, model.select(s)) << s.to_string();
+  // Each scenario is asked twice in a row: the miss path, then the hit
+  // path, both matching direct selection bit for bit. The 32-entry cache
+  // evicts along the way.
+  for (const bench::Scenario& s : scenarios) {
+    const serve::Decision miss = core.select(s);
+    const serve::Decision hit = core.select(s);
+    EXPECT_FALSE(miss.cache_hit) << s.to_string();
+    EXPECT_TRUE(hit.cache_hit) << s.to_string();
+    EXPECT_EQ(miss.algorithm, model.select(s)) << s.to_string();
+    EXPECT_EQ(hit.algorithm, model.select(s)) << s.to_string();
+  }
+  EXPECT_GT(core.cache_stats().evictions, 0u);
+
+  // Batched path on a fresh core, with two collectives interleaved in one
+  // batch. The first batch runs on misses only; the second repeats every
+  // query back to back, so misses (evicted entries) and hits alternate.
+  serve::ServeCore batch_core(cfg);
+  const core::CollectiveModel allreduce = trained_model(coll::Collective::Allreduce);
+  batch_core.publish({coll::Collective::Bcast, 0, "default"}, model);
+  batch_core.publish({coll::Collective::Allreduce, 0, "default"}, allreduce);
+  std::vector<bench::Scenario> mixed;
+  std::vector<bench::Scenario> doubled;
+  for (const bench::Scenario& s : scenarios) {
+    const bench::Scenario a{coll::Collective::Allreduce, s.nnodes, s.ppn, s.msg_bytes};
+    mixed.insert(mixed.end(), {s, a});
+    doubled.insert(doubled.end(), {s, s, a, a});
+  }
+  auto direct = [&](const bench::Scenario& s) {
+    return (s.collective == coll::Collective::Bcast ? model : allreduce).select(s);
+  };
+  const std::vector<serve::Decision> cold = batch_core.select_batch(mixed);
+  ASSERT_EQ(cold.size(), mixed.size());
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    EXPECT_FALSE(cold[i].cache_hit) << mixed[i].to_string();
+    EXPECT_EQ(cold[i].algorithm, direct(mixed[i])) << mixed[i].to_string();
+  }
+  const std::vector<serve::Decision> warm = batch_core.select_batch(doubled);
+  ASSERT_EQ(warm.size(), doubled.size());
+  for (std::size_t i = 0; i < doubled.size(); ++i) {
+    if (i % 2 == 1) {
+      EXPECT_TRUE(warm[i].cache_hit) << doubled[i].to_string();
     }
+    EXPECT_EQ(warm[i].algorithm, direct(doubled[i])) << doubled[i].to_string();
   }
-  // Batched path matches too.
-  const std::vector<serve::Decision> batched = core.select_batch(scenarios);
-  const std::vector<coll::Algorithm> direct = model.select_batch(scenarios);
-  ASSERT_EQ(batched.size(), direct.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].algorithm, direct[i]) << scenarios[i].to_string();
-  }
-  const auto st = core.cache_stats();
-  EXPECT_GT(st.hits, 0u);
-  EXPECT_GT(st.misses, 0u);
 }
 
 TEST(ServeCore, SecondIdenticalQueryIsACacheHit) {
@@ -731,6 +758,29 @@ class SocketDaemon {
   std::string path_;
   std::thread thread_;
 };
+
+TEST_F(DaemonTest, UnixSocketSurvivesAClientThatHangsUpWithoutReading) {
+  const std::string path =
+      ::testing::TempDir() + "acclaimd_hangup_" + std::to_string(::getpid()) + ".sock";
+  SocketDaemon running(daemon_, path);
+  const int fd = connect_with_timeouts(path);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  // Many requests in one send, then close with every reply unread: the
+  // daemon's later replies hit a closed peer.
+  std::string pings;
+  for (int i = 0; i < 2000; ++i) {
+    pings += "{\"op\":\"ping\"}\n";
+  }
+  for (std::size_t off = 0; off < pings.size();) {
+    const ssize_t n = ::send(fd, pings.data() + off, pings.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0) << std::strerror(errno);
+    off += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  // A second connection is still answered.
+  EXPECT_TRUE(
+      util::Json::parse(serve::unix_socket_request(path, R"({"op":"ping"})")).at("ok").as_bool());
+}
 
 TEST_F(DaemonTest, UnixSocketAnswersAnOversizedLineOnceAndCloses) {
   const std::string path =
