@@ -1,11 +1,11 @@
 #include "benchdata/microbenchmark.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "minimpi/cost_executor.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -50,6 +50,15 @@ double run_schedule_us(const simnet::NetworkModel& net, const BenchmarkPoint& po
   return cost.elapsed_us();
 }
 
+/// Times the host cost of simulating one point (schedule construction
+/// dominates): the quantity the fig13/fig14 host-wall columns aggregate.
+/// No profiler label: dataset precollection runs points on pool workers.
+telemetry::Span host_wall_span() {
+  static telemetry::Histogram& host_wall =
+      telemetry::metrics().histogram("simnet.microbench_wall_us", {1.0, 32});
+  return telemetry::Span(host_wall, telemetry::Unit::us);
+}
+
 }  // namespace
 
 double Microbenchmark::schedule_time_us(const BenchmarkPoint& point,
@@ -67,20 +76,20 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
                                           const minimpi::FlowMap& rack_flows,
                                           const minimpi::FlowMap& pair_flows,
                                           util::Rng& rng) const {
-  const auto host_start = std::chrono::steady_clock::now();
+  const telemetry::Span span = host_wall_span();
   const double base_us = run_schedule_us(net_, point, alloc, rack_flows, pair_flows);
-  return finish_run(point, base_us, rng, host_start);
+  return finish_run(point, base_us, rng);
 }
 
 Measurement Microbenchmark::run_priced(const BenchmarkPoint& point, double base_us,
                                        util::Rng& rng) const {
   require(base_us > 0.0, "run_priced requires a positive precomputed schedule time");
-  return finish_run(point, base_us, rng, std::chrono::steady_clock::now());
+  const telemetry::Span span = host_wall_span();
+  return finish_run(point, base_us, rng);
 }
 
 Measurement Microbenchmark::finish_run(const BenchmarkPoint& point, double base_us,
-                                       util::Rng& rng,
-                                       std::chrono::steady_clock::time_point host_start) const {
+                                       util::Rng& rng) const {
   const int iters = config_.timed_iterations(point.scenario.msg_bytes, base_us);
   const int warmup = static_cast<int>(std::ceil(config_.warmup_fraction * iters));
 
@@ -102,18 +111,11 @@ Measurement Microbenchmark::finish_run(const BenchmarkPoint& point, double base_
   static telemetry::Gauge& modeled = telemetry::metrics().gauge("simnet.modeled_run_us");
   static telemetry::Histogram& latency =
       telemetry::metrics().histogram("simnet.schedule_us", {1.0, 32});
-  // Host time spent simulating this point (schedule construction dominates):
-  // the quantity the fig13/fig14 host-wall columns aggregate. All
-  // instruments are atomic, so recording from concurrent batch members is
-  // safe.
-  static telemetry::Histogram& host_wall =
-      telemetry::metrics().histogram("simnet.microbench_wall_us", {1.0, 32});
+  // All instruments are atomic, so recording from concurrent batch members
+  // is safe.
   runs.add();
   modeled.add(run_us);
   latency.observe(base_us);
-  host_wall.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - host_start)
-          .count());
   return m;
 }
 

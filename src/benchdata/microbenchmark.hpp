@@ -7,8 +7,6 @@
 // quantity the paper's training-time figures accumulate.
 #pragma once
 
-#include <chrono>
-
 #include "benchdata/point.hpp"
 #include "minimpi/cost_executor.hpp"
 #include "simnet/allocation.hpp"
@@ -76,8 +74,7 @@ class Microbenchmark {
  private:
   /// Shared measurement tail: iteration-count selection, noise sampling, and
   /// collection-cost accounting on top of a known schedule time.
-  Measurement finish_run(const BenchmarkPoint& point, double base_us, util::Rng& rng,
-                         std::chrono::steady_clock::time_point host_start) const;
+  Measurement finish_run(const BenchmarkPoint& point, double base_us, util::Rng& rng) const;
 
   const simnet::NetworkModel& net_;
   MicrobenchConfig config_;

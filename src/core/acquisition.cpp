@@ -1,7 +1,6 @@
 #include "core/acquisition.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "core/feature_space.hpp"
@@ -136,7 +135,7 @@ AcquisitionPolicy::Pick AcclaimAcquisition::next(const CollectiveModel& model,
   if (telemetry::audit().enabled()) {
     // This site sits on the learner's serial loop (det-audit-order): one
     // next() call per acquisition round, never inside a parallel_for.
-    const auto start = std::chrono::steady_clock::now();
+    const telemetry::Span cost = telemetry::decision_cost_span();
     telemetry::DecisionRecord rec;
     rec.kind = telemetry::DecisionKind::Acquisition;
     rec.source = "policy";
@@ -169,9 +168,6 @@ AcquisitionPolicy::Pick AcclaimAcquisition::next(const CollectiveModel& model,
     rec.round = static_cast<std::int64_t>(picks_);
     rec.nonp2 = swapped;
     telemetry::audit().record(std::move(rec));
-    telemetry::observe_decision_cost(
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-            .count());
   }
   return {best, point};
 }

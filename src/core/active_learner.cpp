@@ -1,7 +1,6 @@
 #include "core/active_learner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -44,7 +43,7 @@ void ActiveLearner::set_warm_start(WarmStart warm) {
 }
 
 TrainingResult ActiveLearner::run() {
-  telemetry::ScopedTimer timer("learner.run");
+  const telemetry::Span span("learner.run");
   if (config_.threads > 0) {
     util::set_global_threads(config_.threads);
   }
@@ -186,7 +185,7 @@ TrainingResult ActiveLearner::run() {
             // One record per batch round (the batch path bypasses
             // policy_.next(), which covers the sequential path). Emitted on
             // the learner's serial loop — det-audit-order.
-            const auto start = std::chrono::steady_clock::now();
+            const telemetry::Span cost = telemetry::decision_cost_span();
             const bench::BenchmarkPoint& top = batch.items.front().point;
             telemetry::DecisionRecord rec;
             rec.kind = telemetry::DecisionKind::Acquisition;
@@ -209,10 +208,6 @@ TrainingResult ActiveLearner::run() {
             rec.batch_size = static_cast<std::int64_t>(batch.items.size());
             rec.tree_evals = static_cast<std::int64_t>(result.model.n_trees());
             telemetry::audit().record(std::move(rec));
-            telemetry::observe_decision_cost(
-                std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() -
-                                                         start)
-                    .count());
           }
           // Erase consumed pool entries (descending index order).
           std::vector<std::size_t> consumed = batch.consumed;

@@ -1,10 +1,10 @@
 #include "core/env.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
@@ -121,6 +121,7 @@ LiveEnvironment::LiveEnvironment(const simnet::Topology& topo, const simnet::All
       noise_seed_(job_seed ^ 0xa5a5a5a5deadbeefULL) {}
 
 bench::Measurement LiveEnvironment::measure(const bench::BenchmarkPoint& point) {
+  const telemetry::Span span("simnet.microbench");
   util::Rng point_rng = util::Rng::stream(noise_seed_, measure_seq_++);
   const bench::Measurement m = mb_.run(point, alloc_, point_rng);
   charge_s(m.collect_cost_s);
@@ -185,33 +186,32 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
   // makespan below); on the host they run one after another, because farming
   // them out to the thread pool measured no faster (fig13, 0.9x at 1-4
   // threads).
+  static telemetry::Histogram& wall =
+      telemetry::metrics().histogram("simnet.batch_wall_ms", {1.0 / 16, 16});
   std::vector<bench::Measurement> out(batch.size());
   std::vector<double> item_wall_ms(batch.size(), 0.0);
-  const auto batch_start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    // An interference-free item whose placement the scheduler already priced
-    // reuses that schedule time (run_with_load with empty flow maps computes
-    // exactly predicted_solo_us, so the measurements are bitwise-identical);
-    // rebuilding the schedule would double the batched path's host cost. A
-    // non-positive prediction means "no usable hint" — either the caller
-    // invalidated the slot after mutating the point (non-P2 substitution) or
-    // a degenerate placement priced to zero — and takes the rebuild path.
-    if (!predicted.empty() && predicted[i] > 0.0 && rack_flows[i].empty() &&
-        pair_flows[i].empty()) {
-      out[i] = mb_.run_priced(batch[i].point, predicted[i], rngs[i]);
-    } else {
-      const simnet::Allocation sub =
-          alloc_.slice(batch[i].first_node, batch[i].point.scenario.nnodes);
-      out[i] = mb_.run_with_load(batch[i].point, sub, rack_flows[i], pair_flows[i], rngs[i]);
+  {
+    const telemetry::Span batch_span("env.measure_scheduled", wall, telemetry::Unit::ms);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const telemetry::Span item_span("simnet.microbench");
+      // An interference-free item whose placement the scheduler already priced
+      // reuses that schedule time (run_with_load with empty flow maps computes
+      // exactly predicted_solo_us, so the measurements are bitwise-identical);
+      // rebuilding the schedule would double the batched path's host cost. A
+      // non-positive prediction means "no usable hint" — either the caller
+      // invalidated the slot after mutating the point (non-P2 substitution) or
+      // a degenerate placement priced to zero — and takes the rebuild path.
+      if (!predicted.empty() && predicted[i] > 0.0 && rack_flows[i].empty() &&
+          pair_flows[i].empty()) {
+        out[i] = mb_.run_priced(batch[i].point, predicted[i], rngs[i]);
+      } else {
+        const simnet::Allocation sub =
+            alloc_.slice(batch[i].first_node, batch[i].point.scenario.nnodes);
+        out[i] = mb_.run_with_load(batch[i].point, sub, rack_flows[i], pair_flows[i], rngs[i]);
+      }
+      item_wall_ms[i] = item_span.elapsed_ms();
     }
-    item_wall_ms[i] =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
   }
-  const double batch_wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - batch_start)
-          .count();
 
   // Serial fold in slot order: clock accounting, telemetry, trace events.
   double makespan_s = 0.0;
@@ -224,11 +224,8 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
 
   static telemetry::Counter& batches = telemetry::metrics().counter("simnet.parallel_batches");
   static telemetry::Counter& items = telemetry::metrics().counter("simnet.batch_items");
-  static telemetry::Histogram& wall =
-      telemetry::metrics().histogram("simnet.batch_wall_ms", {1.0 / 16, 16});
   batches.add();
   items.add(static_cast<std::uint64_t>(batch.size()));
-  wall.observe(batch_wall_ms);
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include "core/acquisition.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/thread_pool.hpp"
@@ -23,7 +22,7 @@ AcclaimPipeline::AcclaimPipeline(simnet::MachineConfig machine, ActiveLearnerCon
 PipelineResult AcclaimPipeline::run(const JobSpec& spec) const { return run(spec, {}); }
 
 PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& warm) const {
-  telemetry::ScopedTimer timer("pipeline.run");
+  const telemetry::Span span("pipeline.run");
   require(!spec.collectives.empty(), "job must name at least one collective to tune");
   require(spec.nnodes >= 2 && spec.ppn >= 1, "job needs at least 2 nodes and 1 ppn");
   require(spec.min_msg >= 1 && spec.min_msg <= spec.max_msg, "bad message-size range");
@@ -63,8 +62,7 @@ PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& war
     if (const auto it = warm.find(c); it != warm.end()) {
       learner.set_warm_start(it->second);
     }
-    telemetry::ScopedTimer coll_timer(coll::collective_name(c));
-    telemetry::ScopedPhase phase(std::string("train:") + coll::collective_name(c));
+    auto phase = telemetry::Span::phase(std::string("train:") + coll::collective_name(c));
     const double before_s = env.clock_s();
     TrainingResult tr = learner.run();
 
@@ -82,7 +80,7 @@ PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& war
     result.trained.push_back(TrainedCollective{tr.model, std::move(tr.collected)});
     // The report's phase-timing table runs on the simulated collection
     // clock (the quantity the paper's Fig. 14/15 amortization argument is
-    // about), so attach it alongside the wall time ScopedPhase records.
+    // about), so attach it alongside the wall time the span records.
     phase.annotate("sim_s", summary.train_time_s);
     phase.annotate("threads", util::global_threads());
     phase.annotate("points", summary.points);

@@ -16,7 +16,7 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
                                           const simnet::Topology& topo,
                                           const simnet::Allocation& alloc,
                                           const SoloCostFn& solo_cost) const {
-  telemetry::ScopedTimer timer("scheduler.plan");
+  const telemetry::Span span("scheduler.plan");
   CollectionBatch batch;
   // Nodes are consumed strictly left-to-right in allocation order, so the
   // used region is always a prefix and `cursor` fully describes it.

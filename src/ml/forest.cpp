@@ -1,7 +1,6 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "telemetry/metrics.hpp"
@@ -15,8 +14,10 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
                        const ForestParams& params, std::uint64_t seed) {
   require(params.n_trees >= 1, "forest requires at least one tree");
   require(!X.empty() && X.size() == y.size(), "forest requires non-empty, aligned X/y");
-  telemetry::ScopedTimer timer("forest.fit");
-  const auto start = std::chrono::steady_clock::now();
+  static telemetry::Counter& fits = telemetry::metrics().counter("ml.forest.fits");
+  static telemetry::Histogram& fit_ms =
+      telemetry::metrics().histogram("ml.forest.fit_ms", {0.01, 32});
+  const telemetry::Span span("forest.fit", fit_ms, telemetry::Unit::ms);
   // One column view (and its per-feature rank codes) serves every tree;
   // building it validates X before the current model is replaced.
   const FeatureColumns cols(X);
@@ -50,13 +51,7 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
   // Flatten once per fit: the SoA arena is immutable until the next fit,
   // so every prediction from here on is a pure read.
   flat_ = FlatForest::build(trees_);
-  static telemetry::Counter& fits = telemetry::metrics().counter("ml.forest.fits");
-  static telemetry::Histogram& fit_ms =
-      telemetry::metrics().histogram("ml.forest.fit_ms", {0.01, 32});
   fits.add();
-  fit_ms.observe(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                           start)
-                     .count());
 }
 
 double RandomForest::predict(const FeatureRow& row) const {

@@ -60,6 +60,8 @@ std::string Daemon::handle_line(const std::string& line) {
         fields["cache_evictions"] = st.evictions;
         fields["cache_entries"] = st.entries;
         fields["cache_capacity"] = st.capacity;
+        telemetry::publish_thread_pool_metrics();
+        fields["metrics"] = telemetry::metrics().to_json();
         return ok_response("stats", std::move(fields));
       }
       case Op::Query: {
@@ -217,6 +219,13 @@ std::uint64_t Daemon::serve_unix_socket(const std::string& path) {
   claim_socket_path(path, addr);
   if (::bind(listener.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     throw IoError("cannot bind unix socket " + path + ": " + std::strerror(errno));
+  }
+  // The file mode is the trust boundary: only the owner may connect. Peers
+  // are refused until listen(), so no connect slips in before the chmod.
+  if (::chmod(path.c_str(), 0600) != 0) {
+    const int err = errno;
+    ::unlink(path.c_str());
+    throw IoError("cannot restrict unix socket " + path + ": " + std::strerror(err));
   }
   if (::listen(listener.get(), 16) != 0) {
     throw IoError("cannot listen on unix socket " + path + ": " + std::strerror(errno));

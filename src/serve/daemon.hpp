@@ -11,6 +11,11 @@
 // ships {"op":"batch",...}; the serving core answers it query by query. A
 // client that hangs up without reading its replies ends only its own
 // connection.
+//
+// Trust boundary: a peer can make the daemon read any file it names
+// (`publish`), so only the daemon's own user may talk to it. The stdio
+// transport inherits that from its pipes; the unix socket file is created
+// with mode 0600, so the kernel refuses every other user's connect().
 #pragma once
 
 #include <iosfwd>
@@ -33,9 +38,9 @@ class Daemon {
   /// of requests handled.
   std::uint64_t serve_stream(std::istream& in, std::ostream& out);
 
-  /// Binds a unix domain socket at `path` (replacing a stale file), then
-  /// accepts connections one at a time, serving each until the peer closes
-  /// or sends an oversized line.
+  /// Binds a unix domain socket at `path` (replacing a stale file) with
+  /// mode 0600, then accepts connections one at a time, serving each until
+  /// the peer closes or sends an oversized line.
   /// Returns (and unlinks the socket) after a shutdown request. Throws
   /// IoError on socket setup failures.
   std::uint64_t serve_unix_socket(const std::string& path);

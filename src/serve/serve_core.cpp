@@ -1,8 +1,7 @@
 #include "serve/serve_core.hpp"
 
-#include <chrono>
-
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/error.hpp"
 
 namespace acclaim::serve {
@@ -47,12 +46,9 @@ Decision ServeCore::select(const bench::Scenario& s, const std::string& topology
   static telemetry::Histogram& query_us =
       telemetry::metrics().histogram("serve.query_us", {1e-3, 48});
   static telemetry::Counter& queries = telemetry::metrics().counter("serve.queries");
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span(query_us, telemetry::Unit::us);
   const Decision d = decide(s, topology);
   queries.add();
-  query_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-          .count());
   return d;
 }
 
@@ -66,7 +62,7 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
   if (scenarios.empty()) {
     return {};
   }
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span(batch_us, telemetry::Unit::us);
   std::vector<Decision> out;
   out.reserve(scenarios.size());
   for (const bench::Scenario& s : scenarios) {
@@ -74,9 +70,6 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
   }
   queries.add(scenarios.size());
   batch_size.observe(static_cast<double>(scenarios.size()));
-  batch_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-          .count());
   return out;
 }
 

@@ -140,11 +140,11 @@ void AuditLog::record(DecisionRecord rec) {
   deliver(std::move(rec), [](DecisionRecord& r, std::uint64_t n) { r.seq = n; });
 }
 
-void observe_decision_cost(double wall_ns) {
+Span decision_cost_span() {
   static Counter& records = metrics().counter("audit.records");
   static Histogram& cost = metrics().histogram("audit.decision_wall_ns", {100.0, 32});
   records.add();
-  cost.observe(wall_ns);
+  return Span(cost, Unit::ns);
 }
 
 std::vector<DecisionRecord> read_audit_file(const std::string& path) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "telemetry/jsonl_sink.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/json.hpp"
 
 namespace acclaim::telemetry {
@@ -125,11 +126,11 @@ class AuditLog : public JsonlSink<DecisionRecord> {
 /// Shorthand for AuditLog::global().
 inline AuditLog& audit() { return AuditLog::global(); }
 
-/// Records the host-wall cost of building+emitting one decision record into
-/// the metrics registry (audit.decision_wall_ns histogram + audit.records
-/// counter). Kept out of DecisionRecord itself so audit logs stay
-/// bitwise-deterministic; call it from the emission site after record().
-void observe_decision_cost(double wall_ns);
+/// Counts one decision record (audit.records) and returns a span that times
+/// building and emitting it into audit.decision_wall_ns. Kept out of
+/// DecisionRecord itself so audit logs stay bitwise-deterministic; open it
+/// at the emission site before building the record.
+Span decision_cost_span();
 
 /// Parses a JSON-lines audit file (blank lines skipped). Throws IoError on
 /// unreadable paths, ParseError/InvalidArgument on malformed lines.

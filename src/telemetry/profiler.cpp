@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/metrics.hpp"
 #include "util/error.hpp"
 
 namespace acclaim::telemetry {
@@ -12,6 +13,10 @@ namespace {
 /// The calling thread's current attribution path ("a;b;c"). A plain string
 /// (not a vector) keeps the hot push/pop to an append + truncate.
 thread_local std::string t_path;
+
+double in_unit(std::chrono::steady_clock::duration d, Unit unit) {
+  return std::chrono::duration<double, std::nano>(d).count() / static_cast<double>(unit);
+}
 
 }  // namespace
 
@@ -90,28 +95,60 @@ void Profiler::write_folded(const std::string& path) const {
   }
 }
 
-ScopedTimer::ScopedTimer(const char* label) : active_(profiler().enabled()) {
-  if (!active_) {
-    return;
+Span::Span(std::string_view label) : Span(label, nullptr, Unit::ns, false) {}
+
+Span::Span(std::string_view label, Histogram& hist, Unit unit)
+    : Span(label, &hist, unit, false) {}
+
+Span::Span(Histogram& hist, Unit unit) : Span({}, &hist, unit, false) {}
+
+Span Span::phase(std::string label) { return Span(label, nullptr, Unit::ms, true); }
+
+Span::Span(std::string_view label, Histogram* hist, Unit unit, bool phase)
+    : hist_(hist), unit_(unit), profiled_(!label.empty() && profiler().enabled()) {
+  if (phase && tracer().enabled()) {
+    phase_.emplace();
+    phase_->kind = EventKind::Phase;
+    phase_->label = label;
   }
-  restore_len_ = t_path.size();
-  if (!t_path.empty()) {
-    t_path += ';';
+  if (profiled_) {
+    restore_len_ = t_path.size();
+    if (!t_path.empty()) {
+      t_path += ';';
+    }
+    t_path += label;
   }
-  t_path += label;
   start_ = std::chrono::steady_clock::now();
 }
 
-ScopedTimer::~ScopedTimer() {
-  if (!active_) {
+Span::~Span() {
+  if (!profiled_ && hist_ == nullptr && !phase_) {
     return;
   }
   const auto elapsed = std::chrono::steady_clock::now() - start_;
-  profiler().record(
-      t_path,
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  t_path.resize(restore_len_);
+  if (profiled_) {
+    profiler().record(
+        t_path, static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
+    t_path.resize(restore_len_);
+  }
+  if (hist_ != nullptr) {
+    hist_->observe(in_unit(elapsed, unit_));
+  }
+  if (phase_) {
+    phase_->fields["wall_ms"] = in_unit(elapsed, Unit::ms);
+    tracer().record(std::move(*phase_));
+  }
+}
+
+double Span::elapsed_ms() const {
+  return in_unit(std::chrono::steady_clock::now() - start_, Unit::ms);
+}
+
+void Span::annotate(const std::string& key, util::Json value) {
+  if (phase_) {
+    phase_->fields[key] = std::move(value);
+  }
 }
 
 }  // namespace acclaim::telemetry

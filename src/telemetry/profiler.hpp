@@ -1,28 +1,34 @@
-// Lightweight self-profiler: scoped-timer attribution tree.
+// Lightweight self-profiler and the library's one scoped timer, Span.
 //
-// Instrumented code brackets interesting work with ScopedTimer("label");
-// nested timers on the same thread form an attribution path ("tune-job;
-// train:bcast;forest.fit"). The profiler aggregates wall time and hit counts
-// per path and exports:
-//  * folded stacks ("a;b;c <self_us>" lines) consumable by flamegraph.pl /
-//    speedscope — the standard "where did the time go" artifact;
-//  * via telemetry::prometheus_text (metrics.hpp), the registry exposition
-//    the future acclaimd daemon will serve on /metrics.
-//
-// Disabled by default: every ScopedTimer constructor is gated on one relaxed
-// atomic load, so instrumentation sites cost ~1 ns when profiling is off.
-// Host-wall attribution is observability-only — it never feeds back into the
+// A Span reads the steady clock when it opens and when it closes, and feeds
+// that one interval to up to three consumers:
+//  * the profiler, for a labelled span opened while it is on: nested labels
+//    on a thread form an attribution path ("pipeline.run;train:bcast;
+//    learner.run"), aggregated into wall time and hit counts per path and
+//    exported as folded stacks ("a;b;c <self_us>", for flamegraph.pl);
+//  * a metrics Histogram, observed in the histogram's own unit;
+//  * the tracer, for a Span::phase() opened while it is on: one Phase event
+//    with `wall_ms` plus any annotate()d fields.
+// Both sinks are off by default (one relaxed load each). Labels belong on a
+// thread's serial path; per-query serving, audit and pool-worker spans take
+// none. Host-wall time is observability only: it never feeds back into the
 // deterministic computation (the audit log and models never see it).
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
+
+#include "telemetry/trace.hpp"
 
 namespace acclaim::telemetry {
+
+class Histogram;
 
 class Profiler {
  public:
@@ -65,22 +71,38 @@ class Profiler {
 /// Shorthand for Profiler::global().
 inline Profiler& profiler() { return Profiler::global(); }
 
-/// RAII attribution scope. Pushes `label` onto the calling thread's path
-/// stack for the duration of the scope; the destructor records the elapsed
-/// wall time under the full path. No-op (one relaxed load) when the profiler
-/// is disabled at construction time.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const char* label);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+/// The unit a Span observes its histogram in (its value: nanoseconds per unit).
+enum class Unit : std::int64_t { ns = 1, us = 1'000, ms = 1'000'000 };
 
-  bool active() const noexcept { return active_; }
+/// RAII host-wall timer; see the file comment for its three consumers.
+class Span {
+ public:
+  /// A profiler layer named `label`.
+  explicit Span(std::string_view label);
+  /// A profiler layer that also observes `hist` in `unit`.
+  Span(std::string_view label, Histogram& hist, Unit unit);
+  /// No profiler layer: observes `hist` in `unit` only.
+  Span(Histogram& hist, Unit unit);
+  /// A profiler layer that also emits a Phase event labelled `label`.
+  static Span phase(std::string label);
+
+  ~Span();
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Host milliseconds since the span opened.
+  double elapsed_ms() const;
+  /// Attaches a field to the Phase event (no-op when none will be emitted).
+  void annotate(const std::string& key, util::Json value);
 
  private:
-  bool active_;
+  Span(std::string_view label, Histogram* hist, Unit unit, bool phase);
+
+  Histogram* hist_;
+  Unit unit_;
+  bool profiled_ = false;
   std::size_t restore_len_ = 0;  ///< thread-local path length to restore
+  std::optional<TraceEvent> phase_;
   std::chrono::steady_clock::time_point start_;
 };
 

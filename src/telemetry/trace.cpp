@@ -82,27 +82,6 @@ void Tracer::record(TraceEvent ev) {
   });
 }
 
-ScopedPhase::ScopedPhase(std::string label, Tracer& tracer)
-    : tracer_(tracer), active_(tracer.enabled()), start_(std::chrono::steady_clock::now()) {
-  ev_.kind = EventKind::Phase;
-  ev_.label = std::move(label);
-}
-
-ScopedPhase::~ScopedPhase() {
-  if (!active_) {
-    return;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  ev_.fields["wall_ms"] = std::chrono::duration<double, std::milli>(elapsed).count();
-  tracer_.record(std::move(ev_));
-}
-
-void ScopedPhase::annotate(const std::string& key, util::Json value) {
-  if (active_) {
-    ev_.fields[key] = std::move(value);
-  }
-}
-
 std::vector<TraceEvent> read_trace_file(const std::string& path) {
   std::vector<TraceEvent> events;
   read_jsonl_file(path, "trace file", [&](const util::Json& doc) {

@@ -72,28 +72,6 @@ class Tracer : public JsonlSink<TraceEvent> {
 /// Shorthand for Tracer::global().
 inline Tracer& tracer() { return Tracer::global(); }
 
-/// RAII wall-clock timer: emits a Phase event with a `wall_ms` field when
-/// destroyed. Extra fields (e.g. the simulated-clock duration, which the
-/// run report prefers) can be attached before the scope closes. No-op when
-/// the tracer is disabled at construction time.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(std::string label, Tracer& tracer = Tracer::global());
-  ~ScopedPhase();
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  bool active() const noexcept { return active_; }
-  /// Attaches a field to the eventual Phase event.
-  void annotate(const std::string& key, util::Json value);
-
- private:
-  Tracer& tracer_;
-  bool active_;
-  TraceEvent ev_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Parses a JSON-lines trace file (blank lines skipped, events of unknown
 /// kind skipped). Throws IoError on unreadable paths, ParseError naming
 /// "path:line" on malformed lines.

@@ -201,9 +201,10 @@ TEST_F(AuditTest, ReadAuditFileErrors) {
   }
 }
 
-TEST_F(AuditTest, ObserveDecisionCostFeedsMetricsNotRecords) {
-  telemetry::observe_decision_cost(1500.0);
-  telemetry::observe_decision_cost(2500.0);
+TEST_F(AuditTest, DecisionCostSpanFeedsMetricsNotRecords) {
+  { const telemetry::Span cost = telemetry::decision_cost_span(); }
+  { const telemetry::Span cost = telemetry::decision_cost_span(); }
+  EXPECT_EQ(telemetry::audit().recorded(), 0u);
   EXPECT_EQ(telemetry::metrics().counter("audit.records").value(), 2u);
   EXPECT_EQ(telemetry::metrics().histogram("audit.decision_wall_ns").count(), 2u);
 }

@@ -66,6 +66,25 @@ TEST(CliArgs, RejectsOutOfRangeIntFlags) {
   EXPECT_THROW(args.get_int("seed", 1), acclaim::InvalidArgument);
 }
 
+// Regression: `acclaim serve --cache-capacity -1` cast -1 to a size_t, which
+// left the daemon's decision cache without a memory bound, and 0 silently
+// became the cache's minimum. Both are now usage errors naming the flag.
+TEST(CliArgs, PositiveIntFlagsRejectZeroAndNegatives) {
+  for (const char* bad : {"-1", "0"}) {
+    const Args args = parse({"--cache-capacity", bad}, {"cache-capacity"});
+    try {
+      args.get_positive_int("cache-capacity", 8);
+      FAIL() << "expected InvalidArgument for " << bad;
+    } catch (const acclaim::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--cache-capacity"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(parse({"--cache-capacity", "16"}, {"cache-capacity"})
+                .get_positive_int("cache-capacity", 8),
+            16);
+  EXPECT_EQ(parse({}, {"cache-capacity"}).get_positive_int("cache-capacity", 8), 8);
+}
+
 TEST(CliArgs, RejectsMalformedDoubleFlags) {
   const Args args =
       parse({"--speedup", "1.5x", "--training", "oops"}, {"speedup", "training"});

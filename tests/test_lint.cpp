@@ -68,10 +68,12 @@ TEST(LintDetLayer, FlagsWallClock) {
       "det-wallclock"));
 }
 
-TEST(LintDetLayer, SteadyClockIsAllowed) {
-  const auto findings = lint_source(
-      "src/ml/x.cpp", "auto f() { return std::chrono::steady_clock::now(); }\n");
-  EXPECT_TRUE(findings.empty());
+TEST(LintDetLayer, SteadyClockIsFlaggedOutsideTelemetry) {
+  // Host-wall telemetry in a deterministic layer goes through telemetry::Span;
+  // only the telemetry layer that implements it reads the clock itself.
+  const std::string src = "auto f() { return std::chrono::steady_clock::now(); }\n";
+  EXPECT_TRUE(has_check(lint_source("src/ml/x.cpp", src), "det-wallclock"));
+  EXPECT_TRUE(lint_source("src/telemetry/x.cpp", src).empty());
 }
 
 TEST(LintDetLayer, NonDetLayersMayReadTheClock) {
@@ -309,7 +311,7 @@ TEST(LintAuditOrder, FlagsRecordConstructionAndCostObservationToo) {
 
   const std::string cost_src =
       "void f(util::ThreadPool& pool, std::vector<double>& out) {\n"
-      "  pool.submit([&] { telemetry::observe_decision_cost(5.0); });\n"
+      "  pool.submit([&] { const auto cost = telemetry::decision_cost_span(); });\n"
       "}\n";
   EXPECT_TRUE(has_check(lint_source("src/core/x.cpp", cost_src), "det-audit-order"));
 }
@@ -322,7 +324,7 @@ TEST(LintAuditOrder, SerialEmissionAfterTheParallelRegionIsFine) {
       "  });\n"
       "  telemetry::DecisionRecord rec;\n"
       "  telemetry::audit().record(std::move(rec));\n"
-      "  telemetry::observe_decision_cost(5.0);\n"
+      "  const auto cost = telemetry::decision_cost_span();\n"
       "}\n";
   EXPECT_TRUE(lint_source("src/core/x.cpp", src).empty());
 }

@@ -6,6 +6,7 @@
 #include "core/heuristic.hpp"
 #include "core/pipeline.hpp"
 #include "platform/app_model.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
 #include "test_helpers.hpp"
@@ -169,6 +170,33 @@ TEST(Pipeline, BreakEvenIsHoursForSmallSpeedups) {
       platform::breakeven_runtime_s(r.total_training_s, 1.01) / 3600.0;
   EXPECT_GT(breakeven_h, 0.1);
   EXPECT_LT(breakeven_h, 48.0);
+}
+
+TEST(Pipeline, ProfileAttributesLearnerTimeToNamedLayers) {
+  telemetry::profiler().disable();
+  telemetry::profiler().enable();
+  core::ActiveLearnerConfig cfg;
+  cfg.forest.n_trees = 8;
+  cfg.max_points = 40;
+  core::AcclaimPipeline pipeline(testing_support::small_machine(), cfg);
+  core::JobSpec spec;
+  spec.collectives = {Collective::Bcast};
+  spec.nnodes = 4;
+  spec.ppn = 2;
+  spec.min_msg = 64;
+  spec.max_msg = 4096;
+  spec.job_seed = 5;
+  spec.machine_busy_fraction = 0.2;
+  pipeline.run(spec);
+  const auto snap = telemetry::profiler().snapshot();
+  telemetry::profiler().disable();
+  // Path shape only: each layer nests under its parent's span.
+  const std::string learner = "pipeline.run;train:bcast;learner.run;";
+  for (const std::string leaf : {"forest.fit", "model.variance_sweep", "scheduler.plan",
+                                 "env.measure_scheduled;simnet.microbench"}) {
+    EXPECT_EQ(snap.count(learner + leaf), 1u) << leaf;
+  }
+  EXPECT_EQ(snap.count("pipeline.run;train:bcast;rulegen.generate"), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -645,6 +646,16 @@ TEST_F(DaemonTest, StatsReportsCacheCounters) {
   EXPECT_GE(r.at("cache_misses").as_number(), 1.0);
 }
 
+TEST_F(DaemonTest, StatsExposesTheMetricsRegistry) {
+  respond(R"({"op":"query","collective":"bcast","nodes":4,"ppn":8,"msg":4096})");
+  const util::Json r = respond(R"({"op":"stats"})");
+  ASSERT_TRUE(r.at("ok").as_bool());
+  const util::Json& metrics = r.at("metrics");
+  EXPECT_GE(metrics.at("histograms").at("serve.query_us").at("count").as_number(), 1.0);
+  EXPECT_TRUE(metrics.at("gauges").contains("threadpool.threads"));
+  EXPECT_TRUE(r.contains("cache_capacity"));
+}
+
 TEST_F(DaemonTest, UnixSocketRefusesToClobberARegularFile) {
   const std::string path = ::testing::TempDir() + "acclaimd_not_a_socket";
   {
@@ -758,6 +769,16 @@ class SocketDaemon {
   std::string path_;
   std::thread thread_;
 };
+
+TEST_F(DaemonTest, UnixSocketIsOwnerOnly) {
+  const std::string path =
+      ::testing::TempDir() + "acclaimd_mode_" + std::to_string(::getpid()) + ".sock";
+  SocketDaemon running(daemon_, path);
+  struct stat st{};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0) << std::strerror(errno);
+  EXPECT_TRUE(S_ISSOCK(st.st_mode));
+  EXPECT_EQ(st.st_mode & 0777, 0600u);
+}
 
 TEST_F(DaemonTest, UnixSocketSurvivesAClientThatHangsUpWithoutReading) {
   const std::string path =

@@ -339,32 +339,6 @@ TEST_F(TelemetryTest, ZeroRingCapacityIsRejected) {
   EXPECT_FALSE(tr.enabled());
 }
 
-TEST_F(TelemetryTest, ScopedPhaseEmitsWallTimeAndAnnotations) {
-  telemetry::Tracer& tr = telemetry::tracer();
-  tr.enable_ring(16);
-  {
-    telemetry::ScopedPhase phase("train:bcast");
-    EXPECT_TRUE(phase.active());
-    phase.annotate("sim_s", 12.5);
-    phase.annotate("points", 40);
-  }
-  const auto snap = tr.ring_snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].kind, EventKind::Phase);
-  EXPECT_EQ(snap[0].label, "train:bcast");
-  EXPECT_TRUE(snap[0].fields.contains("wall_ms"));
-  EXPECT_GE(snap[0].fields.at("wall_ms").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(snap[0].fields.at("sim_s").as_number(), 12.5);
-  EXPECT_EQ(snap[0].fields.at("points").as_int(), 40);
-}
-
-TEST_F(TelemetryTest, ScopedPhaseIsInertWhenTracerDisabled) {
-  telemetry::ScopedPhase phase("idle");
-  EXPECT_FALSE(phase.active());
-  phase.annotate("sim_s", 1.0);  // must not crash
-  EXPECT_EQ(telemetry::tracer().recorded(), 0u);
-}
-
 // --- run reports on a synthetic trace ------------------------------------
 
 TraceEvent make_event(EventKind kind, std::string label) {
@@ -607,14 +581,12 @@ TEST_F(TelemetryTest, PrometheusTextExposesAllInstrumentKinds) {
 
 // --- self-profiler ----------------------------------------------------------
 
-TEST_F(TelemetryTest, ScopedTimerBuildsNestedAttributionPaths) {
+TEST_F(TelemetryTest, SpanBuildsNestedAttributionPaths) {
   telemetry::profiler().disable();
   telemetry::profiler().enable();
   {
-    telemetry::ScopedTimer outer("outer");
-    EXPECT_TRUE(outer.active());
-    telemetry::ScopedTimer inner("inner");
-    EXPECT_TRUE(inner.active());
+    const telemetry::Span outer("outer");
+    const telemetry::Span inner("inner");
   }
   const auto snap = telemetry::profiler().snapshot();
   telemetry::profiler().disable();
@@ -626,11 +598,54 @@ TEST_F(TelemetryTest, ScopedTimerBuildsNestedAttributionPaths) {
   EXPECT_GE(snap.at("outer").total_ns, snap.at("outer;inner").total_ns);
 }
 
-TEST_F(TelemetryTest, ScopedTimerIsInertWhenProfilerDisabled) {
+TEST_F(TelemetryTest, SpanWithSinksOffStillObservesItsHistogram) {
   telemetry::profiler().disable();
-  telemetry::ScopedTimer t("idle");
-  EXPECT_FALSE(t.active());
+  telemetry::Histogram& hist = telemetry::metrics().histogram("test.span_ms");
+  {
+    telemetry::Span span = telemetry::Span::phase("idle");
+    span.annotate("sim_s", 1.0);  // dropped: no event will be emitted
+  }
+  { const telemetry::Span span("idle", hist, telemetry::Unit::ms); }
   EXPECT_TRUE(telemetry::profiler().snapshot().empty());
+  EXPECT_EQ(telemetry::tracer().recorded(), 0u);
+  EXPECT_EQ(hist.count(), 1u);
+  EXPECT_GE(hist.min(), 0.0);
+}
+
+TEST_F(TelemetryTest, PhaseSpanEmitsOnePhaseEventWithItsAnnotations) {
+  telemetry::Tracer& tr = telemetry::tracer();
+  tr.enable_ring(16);
+  {
+    telemetry::Span phase = telemetry::Span::phase("train:bcast");
+    phase.annotate("sim_s", 12.5);
+    phase.annotate("points", 40);
+  }
+  const auto snap = tr.ring_snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap[0].kind, EventKind::Phase);
+  EXPECT_EQ(snap[0].label, "train:bcast");
+  ASSERT_EQ(snap[0].fields.size(), 3u);
+  EXPECT_GE(snap[0].fields.at("wall_ms").as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(snap[0].fields.at("sim_s").as_number(), 12.5);
+  EXPECT_EQ(snap[0].fields.at("points").as_int(), 40);
+}
+
+TEST_F(TelemetryTest, UnlabelledSpanNeverTouchesTheProfiler) {
+  telemetry::profiler().disable();
+  telemetry::profiler().enable();
+  telemetry::Histogram& hist = telemetry::metrics().histogram("test.span_us");
+  {
+    const telemetry::Span outer("outer");
+    { const telemetry::Span hot(hist, telemetry::Unit::us); }
+    // The unlabelled span left the path alone: a later child nests directly.
+    const telemetry::Span inner("inner");
+  }
+  const auto snap = telemetry::profiler().snapshot();
+  telemetry::profiler().disable();
+  EXPECT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap.count("outer"), 1u);
+  EXPECT_EQ(snap.count("outer;inner"), 1u);
+  EXPECT_EQ(hist.count(), 1u);
 }
 
 TEST_F(TelemetryTest, FoldedStacksExportSelfTimeMinusChildren) {

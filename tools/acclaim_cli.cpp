@@ -446,7 +446,7 @@ std::uint64_t publish_model_file(serve::ServeCore& core, const std::string& path
 int cmd_serve(const cli::Args& args) {
   open_telemetry(args);
   serve::ServeConfig cfg;
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 1 << 16));
+  cfg.cache_capacity = static_cast<std::size_t>(args.get_positive_int("cache-capacity", 1 << 16));
   serve::ServeCore core(cfg);
   const int nodes = args.get_int("nodes", 0);
   const int ppn = args.get_int("ppn", 0);

@@ -92,6 +92,14 @@ int Args::get_int(const std::string& flag, int fallback) const {
   return has(flag) ? parse_int_value(flag, values_.at(flag)) : fallback;
 }
 
+int Args::get_positive_int(const std::string& flag, int fallback) const {
+  const int n = get_int(flag, fallback);
+  if (has(flag) && n < 1) {
+    bad_value(flag, values_.at(flag), "a positive integer");
+  }
+  return n;
+}
+
 double Args::get_double(const std::string& flag, double fallback) const {
   return has(flag) ? parse_double_value(flag, values_.at(flag)) : fallback;
 }

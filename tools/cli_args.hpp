@@ -21,6 +21,8 @@ class Args {
   /// Throws InvalidArgument naming the flag if absent.
   std::string require_flag(const std::string& flag) const;
   int get_int(const std::string& flag, int fallback) const;
+  /// As get_int, but a value below 1 is an InvalidArgument naming the flag.
+  int get_positive_int(const std::string& flag, int fallback) const;
   double get_double(const std::string& flag, double fallback) const;
   std::uint64_t get_bytes(const std::string& flag, std::uint64_t fallback) const;
 

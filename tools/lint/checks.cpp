@@ -41,8 +41,9 @@ const std::set<std::string>& rand_calls() {
 }
 
 const std::set<std::string>& wallclock_idents() {
-  static const std::set<std::string> kSet = {"system_clock", "gettimeofday", "localtime",
-                                             "gmtime", "mktime"};
+  static const std::set<std::string> kSet = {"system_clock", "steady_clock",
+                                             "high_resolution_clock", "gettimeofday",
+                                             "localtime", "gmtime", "mktime"};
   return kSet;
 }
 
@@ -328,7 +329,8 @@ struct Analyzer {
                "'" + t + "' in deterministic layer; use util::Rng / Rng::stream");
       } else if (wallclock_idents().count(t) || (call && wallclock_calls().count(t))) {
         report("det-wallclock", toks[i].line,
-               "'" + t + "' reads the wall clock in a deterministic layer");
+               "'" + t + "' reads the wall clock in a deterministic layer",
+               "time host-wall telemetry with telemetry::Span");
       }
     }
   }
@@ -469,7 +471,7 @@ struct Analyzer {
       const Tok* nx = next_tok(j);
       const bool audit_call = t == "audit" && nx != nullptr && is_p(*nx, "(");
       if (audit_call || t == "AuditLog" || t == "DecisionRecord" ||
-          t == "observe_decision_cost") {
+          t == "decision_cost_span") {
         report("det-audit-order", toks[j].line,
                "'" + t + "' emits audit records inside a parallel region");
         break;  // one finding per lambda pinpoints the region

@@ -26,8 +26,8 @@ std::vector<CheckInfo> make_registry() {
        "libc/<random> randomness is forbidden in deterministic layers; use util::Rng "
        "(Rng::stream for parallel work)"},
       {"det-wallclock", Severity::Error,
-       "wall-clock reads (system_clock, time(), gettimeofday) are forbidden in deterministic "
-       "layers; steady_clock host-wall telemetry is exempt"},
+       "clock reads (system_clock, steady_clock, time(), gettimeofday) are forbidden in "
+       "deterministic layers; host-wall telemetry goes through telemetry::Span"},
       {"det-rng-ref-capture", Severity::Error,
        "a mutable Rng captured by reference must not cross a parallel_for/submit boundary; "
        "pre-derive per-item RNGs before the loop"},
@@ -41,7 +41,7 @@ std::vector<CheckInfo> make_registry() {
        "+=/-= on a shared floating-point value inside a parallel lambda reorders the "
        "reduction across thread counts; accumulate per-slot and fold serially"},
       {"det-audit-order", Severity::Error,
-       "audit-log emission (telemetry::audit(), DecisionRecord, observe_decision_cost) "
+       "audit-log emission (telemetry::audit(), DecisionRecord, decision_cost_span) "
        "inside a parallel_for/submit lambda records in thread-dependent order; emit from "
        "the serial decision path only"},
       {"hyg-catch-log", Severity::Warning,
