@@ -1,7 +1,7 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -161,14 +161,32 @@ void banner(const std::string& figure, const std::string& claim) {
             << "==============================================================\n";
 }
 
-BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::now()) {
+namespace {
+
+/// Strict `--threads` value: the whole token must be an integer the global
+/// pool accepts, so "abc" or "4x" cannot silently become the default.
+int parse_threads(const char* value) {
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || n < 0 || n > util::kMaxThreads) {
+    std::cerr << "[bench] --threads expects an integer in [0, " << util::kMaxThreads
+              << "], got '" << value << "'\n";
+    std::exit(2);
+  }
+  return static_cast<int>(n);
+}
+
+}  // namespace
+
+BenchEnv::BenchEnv(int& argc, char** argv) {
   int threads = 0;
   int out = 1;  // argv[0] always survives
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--threads" && has_value) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads(argv[++i]);
     } else if (arg == "--metrics-out" && has_value) {
       metrics_out_ = argv[++i];
     } else if (arg == "--audit-out" && has_value) {
@@ -180,9 +198,7 @@ BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::n
     }
   }
   argc = out;
-  if (threads > 0) {
-    util::set_global_threads(threads);
-  }
+  util::set_global_threads(threads);
   if (!audit_out_.empty()) {
     telemetry::audit().open_stream(audit_out_);
     std::cerr << "[bench] streaming audit log to " << audit_out_ << "\n";
@@ -227,12 +243,9 @@ BenchEnv::~BenchEnv() {
       return;
     }
     std::filesystem::create_directories(json_out_dir_);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     util::Json doc = util::Json::object();
     doc["figure"] = figure_;
     doc["threads"] = util::global_threads();
-    doc["host_wall_s"] = wall_s;
     doc["rows"] = std::move(rows_);
     const std::string path = json_out_dir_ + "/BENCH_" + figure_ + ".json";
     doc.dump_file(path);

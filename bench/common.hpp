@@ -7,7 +7,6 @@
 // under the repository's data/ directory.
 #pragma once
 
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -73,16 +72,18 @@ double converge_time_s(const std::vector<SweepRow>& rows, double threshold = kCo
 void banner(const std::string& figure, const std::string& claim);
 
 /// Shared bench flags, parsed first thing in every figure main:
-///   --threads N         size the global compute pool (default: hardware,
-///                       or the ACCLAIM_THREADS environment variable)
+///   --threads N         size the global compute pool, an integer in
+///                       [0, util::kMaxThreads] (default 0: hardware, or
+///                       the ACCLAIM_THREADS environment variable); any
+///                       other value exits 2 before the figure starts
 ///   --metrics-out FILE  write a metrics-registry JSON snapshot on exit
 ///                       (render with `acclaim report --metrics FILE`)
 ///   --audit-out FILE    stream per-decision audit records (JSONL) for the
 ///                       whole run (replay with `acclaim explain FILE`)
 ///   --json-out DIR      write DIR/BENCH_<figure>.json on exit: figure id,
-///                       the key result rows the harness registered with
-///                       add_row(), and the host-wall runtime — the
-///                       machine-readable artifact CI tracks across PRs
+///                       thread count and the key result rows the harness
+///                       registered with add_row() — the machine-readable
+///                       artifact CI tracks across PRs
 /// Recognized flags (and their values) are consumed from argc/argv so
 /// figure-specific positional arguments (--ablation, --naive) keep working.
 /// The destructor publishes thread-pool stats and writes the snapshots.
@@ -107,7 +108,6 @@ class BenchEnv {
   std::string json_out_dir_;
   std::string figure_;
   util::Json rows_ = util::Json::array();
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace acclaim::benchharness

@@ -1,250 +1,31 @@
-// Google-benchmark microbenchmarks for the performance-critical substrate:
-// schedule construction, cost execution, forest fit/predict, jackknife
-// variance, rule lookup, and JSON round trips. These guard the costs that
-// determine how long the figure harnesses and the production pipeline take.
-//
-// `--json-out DIR` switches the binary into regression-gate mode instead of
-// running google-benchmark: it times the reference pointer walk
+// Forest inference regression gate: times the reference pointer walk
 // (tests/reference_forest.hpp) against the fused SoA kernel on a
 // fig10/fig12-shaped jackknife sweep, checks the two paths bitwise-equal,
 // and writes DIR/BENCH_micro_forest.json for CI to parse.
-#include <benchmark/benchmark.h>
-
+//
+//   micro_benchmarks --json-out DIR
+//
+// Host time of every library layer (forest fit, variance sweep, schedule
+// build, model JSON) is measured end to end by perfbench/, not here.
+#include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <limits>
 #include <string>
+#include <vector>
 
-#include "benchdata/dataset.hpp"
-#include "collectives/types.hpp"
 #include "core/feature_space.hpp"
-#include "core/model.hpp"
-#include "core/rulegen.hpp"
-#include "minimpi/cost_executor.hpp"
-#include "minimpi/schedule.hpp"
 #include "ml/forest.hpp"
 #include "reference_forest.hpp"
-#include "simnet/allocation.hpp"
-#include "simnet/machine.hpp"
-#include "simnet/network.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace acclaim;
-
-/// Sink that only counts, to benchmark pure schedule construction.
-class CountingSink final : public minimpi::RoundSink {
- public:
-  void on_round(const minimpi::Round& round) override { transfers_ += round.transfers.size(); }
-  std::size_t transfers() const { return transfers_; }
-
- private:
-  std::size_t transfers_ = 0;
-};
-
-void BM_ScheduleBuild(benchmark::State& state) {
-  const auto alg = static_cast<coll::Algorithm>(state.range(0));
-  const int nranks = static_cast<int>(state.range(1));
-  coll::CollParams p;
-  p.nranks = nranks;
-  p.count = 4096;
-  p.type_size = 8;
-  for (auto _ : state) {
-    CountingSink sink;
-    coll::build_schedule(alg, p, sink);
-    benchmark::DoNotOptimize(sink.transfers());
-  }
-  state.SetLabel(coll::algorithm_info(alg).name);
-}
-BENCHMARK(BM_ScheduleBuild)
-    ->Args({static_cast<int>(coll::Algorithm::BcastBinomial), 256})
-    ->Args({static_cast<int>(coll::Algorithm::AllgatherRing), 256})
-    ->Args({static_cast<int>(coll::Algorithm::AllgatherBruck), 256})
-    ->Args({static_cast<int>(coll::Algorithm::AllreduceReduceScatterAllgather), 256})
-    ->Args({static_cast<int>(coll::Algorithm::AllgatherRing), 1024});
-
-void BM_CostExecution(benchmark::State& state) {
-  const int nranks = static_cast<int>(state.range(0));
-  const simnet::MachineConfig machine = simnet::bebop_like();
-  const simnet::Topology topo(machine);
-  const simnet::NetworkModel net(topo, 1);
-  const int nodes = std::min(64, nranks);
-  std::vector<int> ids(static_cast<std::size_t>(nodes));
-  for (int i = 0; i < nodes; ++i) {
-    ids[static_cast<std::size_t>(i)] = i;
-  }
-  const simnet::Allocation alloc(ids);
-  const minimpi::RankMap rm(alloc, nranks / nodes);
-  coll::CollParams p;
-  p.nranks = nranks;
-  p.count = 65536;
-  p.type_size = 1;
-  for (auto _ : state) {
-    minimpi::CostExecutor cost(net, rm);
-    coll::build_schedule(coll::Algorithm::AllgatherRing, p, cost);
-    benchmark::DoNotOptimize(cost.elapsed_us());
-  }
-}
-BENCHMARK(BM_CostExecution)->Arg(64)->Arg(256)->Arg(1024);
-
-struct ForestFixture {
-  std::vector<ml::FeatureRow> X;
-  std::vector<double> y;
-  ForestFixture() {
-    util::Rng rng(3);
-    for (int i = 0; i < 500; ++i) {
-      const double a = rng.uniform(0, 7);
-      const double b = rng.uniform(0, 6);
-      const double c = rng.uniform(3, 20);
-      const double d = rng.uniform(0, 3);
-      X.push_back({a, b, c, d});
-      y.push_back(a + 0.5 * b + 0.1 * c * c + d + rng.normal(0, 0.3));
-    }
-  }
-};
-
-void BM_ForestFit(benchmark::State& state) {
-  static const ForestFixture fx;
-  ml::ForestParams params;
-  params.n_trees = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    ml::RandomForest f;
-    f.fit(fx.X, fx.y, params, 7);
-    benchmark::DoNotOptimize(f.n_trees());
-  }
-}
-BENCHMARK(BM_ForestFit)->Arg(10)->Arg(50)->Arg(100);
-
-/// Training rows shaped like core::encode_point: log2 nodes / ppn / message
-/// size on a discrete grid (every 5th message size off the power-of-two
-/// grid, as §IV-B's non-P2 sampling adds) plus a 4-wide algorithm one-hot
-/// block. Heavy ties, constant-in-node columns and mirrored one-hot splits
-/// reach the fit's tie path, which BM_ForestFit's continuous features never do.
-struct EncodedFixture {
-  std::vector<ml::FeatureRow> X;
-  std::vector<double> y;
-  explicit EncodedFixture(std::size_t rows) {
-    util::Rng rng(11);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double nodes = static_cast<double>(1 + rng.index(8));
-      const double ppn = static_cast<double>(rng.index(6));
-      double msg = static_cast<double>(3 + rng.index(18));
-      if (i % 5 == 4) {
-        msg += std::log2(1.0 + rng.uniform());
-      }
-      const std::size_t alg = rng.index(4);
-      ml::FeatureRow row = {nodes, ppn, msg};
-      for (std::size_t a = 0; a < 4; ++a) {
-        row.push_back(a == alg ? 1.0 : 0.0);
-      }
-      X.push_back(std::move(row));
-      const double per_byte = 1.0 + 0.3 * static_cast<double>(alg);
-      const double latency = (1.0 + static_cast<double>(alg % 2)) * (nodes + ppn);
-      y.push_back(latency + per_byte * std::exp2(msg - 10.0) + rng.normal(0, 0.05));
-    }
-  }
-};
-
-void BM_ForestFitEncoded(benchmark::State& state) {
-  const EncodedFixture fx(static_cast<std::size_t>(state.range(0)));
-  ml::ForestParams params;
-  params.n_trees = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    ml::RandomForest f;
-    f.fit(fx.X, fx.y, params, 7);
-    benchmark::DoNotOptimize(f.n_trees());
-  }
-}
-// The fleet's job shape (90-point cap, 20 trees) and the tune job's (250, 50).
-BENCHMARK(BM_ForestFitEncoded)->Args({90, 20})->Args({250, 50});
-
-void BM_ForestPredictTrees(benchmark::State& state) {
-  static const ForestFixture fx;
-  ml::ForestParams params;
-  params.n_trees = 50;
-  ml::RandomForest f;
-  f.fit(fx.X, fx.y, params, 7);
-  const ml::FeatureRow probe{3.0, 2.0, 10.0, 1.0};
-  std::vector<double> out;
-  for (auto _ : state) {
-    f.predict_trees(probe, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_ForestPredictTrees);
-
-void BM_Jackknife(benchmark::State& state) {
-  util::Rng rng(5);
-  std::vector<double> preds(static_cast<std::size_t>(state.range(0)));
-  for (auto& v : preds) {
-    v = rng.normal(10.0, 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ml::jackknife_variance(preds));
-  }
-}
-BENCHMARK(BM_Jackknife)->Arg(50)->Arg(100);
-
-void BM_JsonRoundTrip(benchmark::State& state) {
-  // A realistic selection-config document.
-  util::Json doc = util::Json::object();
-  doc["format"] = "acclaim-coll-tuning-v1";
-  util::Json buckets = util::Json::array();
-  for (int n = 2; n <= 64; n *= 2) {
-    util::Json bucket = util::Json::object();
-    bucket["nnodes"] = n;
-    bucket["ppn"] = 16;
-    util::Json rules = util::Json::array();
-    util::Json r1 = util::Json::object();
-    r1["msg_size_le"] = 8192;
-    r1["algorithm"] = "binomial";
-    rules.push_back(std::move(r1));
-    util::Json r2 = util::Json::object();
-    r2["algorithm"] = "scatter_ring_allgather";
-    rules.push_back(std::move(r2));
-    bucket["rules"] = std::move(rules);
-    buckets.push_back(std::move(bucket));
-  }
-  util::Json colls = util::Json::object();
-  colls["bcast"] = std::move(buckets);
-  doc["collectives"] = std::move(colls);
-  const std::string text = doc.dump(2);
-  for (auto _ : state) {
-    const util::Json parsed = util::Json::parse(text);
-    benchmark::DoNotOptimize(parsed.dump().size());
-  }
-}
-BENCHMARK(BM_JsonRoundTrip);
-
-void BM_RuleLookup(benchmark::State& state) {
-  core::RuleTable table(coll::Collective::Bcast);
-  for (int n = 2; n <= 64; n *= 2) {
-    for (int ppn = 1; ppn <= 32; ppn *= 2) {
-      table.set_bucket(core::BucketKey{n, ppn},
-                       {{8192, coll::Algorithm::BcastBinomial},
-                        {core::kRuleMax, coll::Algorithm::BcastScatterRingAllgather}});
-    }
-  }
-  const bench::Scenario s{coll::Collective::Bcast, 16, 8, 4096};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookup(s));
-  }
-}
-BENCHMARK(BM_RuleLookup);
-
-void BM_EncodePoint(benchmark::State& state) {
-  const bench::BenchmarkPoint p{{coll::Collective::Allreduce, 32, 16, 65536},
-                                coll::Algorithm::AllreduceReduceScatterAllgather};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::encode_point(p));
-  }
-}
-BENCHMARK(BM_EncodePoint);
 
 /// A fig10/fig12-shaped forest workload: the full bebop P2 candidate pool of
 /// one collective (every scenario x algorithm the jackknife acquisition
@@ -277,64 +58,14 @@ struct SweepFixture {
     params.n_trees = 50;  // the figure harnesses' bench_forest() size
     forest.fit(rows, y, params, 7);
   }
-
-  static const SweepFixture& instance() {
-    static const SweepFixture fx;
-    return fx;
-  }
 };
 
-/// One full jackknife sweep over the candidate pool (what jackknife_variances
-/// does once per acquisition round) on the reference pointer walk.
-void BM_JackknifeSweepPointer(benchmark::State& state) {
-  const SweepFixture& fx = SweepFixture::instance();
-  std::vector<double> var(fx.rows.size());
-  std::vector<double> scratch;
-  for (auto _ : state) {
-    testing_support::reference_jackknife_batch(fx.forest, fx.rows.data(), fx.rows.size(),
-                                               var.data(), scratch);
-    benchmark::DoNotOptimize(var.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.rows.size()));
-}
-BENCHMARK(BM_JackknifeSweepPointer);
-
-/// The same sweep through the fused SoA batch kernel.
-void BM_JackknifeSweepFused(benchmark::State& state) {
-  const SweepFixture& fx = SweepFixture::instance();
-  std::vector<double> var(fx.rows.size());
-  std::vector<double> scratch;
-  for (auto _ : state) {
-    fx.forest.jackknife_batch(fx.rows.data(), fx.rows.size(), var.data(), scratch);
-    benchmark::DoNotOptimize(var.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.rows.size()));
-}
-BENCHMARK(BM_JackknifeSweepFused);
-
-/// Batched per-tree predictions alone (no jackknife reduction), SoA arena.
-void BM_FlatPredictTreesBatch(benchmark::State& state) {
-  const SweepFixture& fx = SweepFixture::instance();
-  const ml::FlatForest& flat = fx.forest.flat();
-  std::vector<double> out(fx.rows.size() * flat.n_trees());
-  for (auto _ : state) {
-    flat.predict_trees_batch(fx.rows.data(), fx.rows.size(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.rows.size()));
-}
-BENCHMARK(BM_FlatPredictTreesBatch);
-
-/// Regression-gate mode (`--json-out DIR`): single-threaded pointer-vs-SoA
-/// comparison on the SweepFixture workload, bitwise-equality check, and a
-/// BENCH_micro_forest.json artifact in the house format (figure/rows/
-/// host_wall_s) so CI can fail the PR if the SoA engine ever loses ground.
+/// Single-threaded pointer-vs-SoA comparison on the SweepFixture workload,
+/// bitwise-equality check, and a BENCH_micro_forest.json artifact in the
+/// house format (figure/rows) so CI can fail the PR if the SoA engine ever
+/// loses ground.
 int run_forest_gate(const std::string& out_dir) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const SweepFixture& fx = SweepFixture::instance();
+  const SweepFixture fx;
   const std::size_t n = fx.rows.size();
 
   std::vector<double> var_ptr(n), var_flat(n);
@@ -392,8 +123,6 @@ int run_forest_gate(const std::string& out_dir) {
   flat_row["bitwise_equal"] = bitwise_equal;
   rows.push_back(std::move(flat_row));
   doc["rows"] = std::move(rows);
-  doc["host_wall_s"] =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   std::filesystem::create_directories(out_dir);
   doc.dump_file(out_dir + "/BENCH_micro_forest.json");
 
@@ -407,26 +136,9 @@ int run_forest_gate(const std::string& out_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Consume `--json-out DIR` before google-benchmark sees the arguments.
-  std::string json_out;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) {
-      json_out = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) {
-        argv[j] = argv[j + 2];
-      }
-      argc -= 2;
-      break;
-    }
+  if (argc != 3 || std::strcmp(argv[1], "--json-out") != 0) {
+    std::cerr << "usage: " << argv[0] << " --json-out DIR\n";
+    return 2;
   }
-  if (!json_out.empty()) {
-    return run_forest_gate(json_out);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return run_forest_gate(argv[2]);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "core/feature_space.hpp"
@@ -23,6 +24,8 @@ ActiveLearner::ActiveLearner(coll::Collective collective, const FeatureSpace& sp
   require(config_.seed_points >= 1, "need at least one seed point");
   require(config_.refit_every >= 1, "refit_every must be >= 1");
   require(config_.patience >= 1, "patience must be >= 1");
+  require(config_.threads >= 0 && config_.threads <= util::kMaxThreads,
+          "threads must be in [0, " + std::to_string(util::kMaxThreads) + "]");
 }
 
 void ActiveLearner::set_monitor(std::function<double(const CollectiveModel&)> probe) {

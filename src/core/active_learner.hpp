@@ -48,7 +48,8 @@ struct ActiveLearnerConfig {
   /// sweeps, and acquisition scoring. 0 leaves the global pool as it is
   /// (default: hardware concurrency, or the ACCLAIM_THREADS environment
   /// variable). Any value yields bitwise-identical models — the per-tree
-  /// RNG streams are derived from `seed`, not from the schedule.
+  /// RNG streams are derived from `seed`, not from the schedule. Must lie
+  /// in [0, util::kMaxThreads].
   int threads = 0;
   std::uint64_t seed = 1;
 };

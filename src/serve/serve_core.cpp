@@ -8,13 +8,13 @@ namespace acclaim::serve {
 
 namespace {
 
-/// Store and cache shard count. Shards only spread lock traffic; answers
-/// never depend on it.
+/// Store shard count. Shards only spread lock traffic; answers never
+/// depend on it.
 constexpr int kShards = 8;
 
 }  // namespace
 
-ServeCore::ServeCore(ServeConfig cfg) : store_(kShards), cache_(cfg.cache_capacity, kShards) {}
+ServeCore::ServeCore(ServeConfig cfg) : store_(kShards), cache_(cfg.cache_capacity) {}
 
 std::uint64_t ServeCore::publish(const ModelKey& key, core::CollectiveModel model) {
   static telemetry::Counter& published = telemetry::metrics().counter("serve.models_published");

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -190,24 +191,20 @@ std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
 int g_requested = 0;  ///< 0 = env / hardware default
 
-/// Cap on ACCLAIM_THREADS: far above any real machine, low enough that a
-/// typo ("16000" for "16") cannot make the pool spawn thousands of workers.
-constexpr long kMaxEnvThreads = 1024;
-
 int default_threads() {
   if (const char* env = std::getenv("ACCLAIM_THREADS"); env != nullptr && *env != '\0') {
     char* end = nullptr;
     errno = 0;
     const long n = std::strtol(env, &end, 10);
     const bool numeric = end != env && *end == '\0' && errno != ERANGE;
-    if (numeric && n >= 1 && n <= kMaxEnvThreads) {
+    if (numeric && n >= 1 && n <= kMaxThreads) {
       return static_cast<int>(n);
     }
     // Garbage ("abc"), trailing junk ("4x"), non-positive, or absurd values
     // must not silently become some other thread count: warn and take the
     // hardware default instead.
     AC_LOG_WARN() << "ignoring ACCLAIM_THREADS='" << env << "': expected an integer in [1, "
-                  << kMaxEnvThreads << "]; using hardware default ("
+                  << kMaxThreads << "]; using hardware default ("
                   << hardware_threads() << ")";
   }
   return hardware_threads();
@@ -226,8 +223,12 @@ ThreadPool& global_pool() {
 }
 
 void set_global_threads(int n) {
+  if (n < 0 || n > kMaxThreads) {
+    throw InvalidArgument("thread count " + std::to_string(n) + " is outside [0, " +
+                          std::to_string(kMaxThreads) + "] (0 = default)");
+  }
   std::lock_guard lock(g_pool_mu);
-  g_requested = std::max(n, 0);
+  g_requested = n;
   if (g_pool && g_pool->size() != resolved_threads()) {
     g_pool.reset();  // joins workers; recreated lazily at the new size
   }

@@ -105,6 +105,12 @@ class ThreadPool {
 /// std::thread::hardware_concurrency with a floor of 1.
 int hardware_threads() noexcept;
 
+/// Largest global pool size any knob may ask for (`--threads`,
+/// ActiveLearnerConfig::threads, ACCLAIM_THREADS): far above any real
+/// machine, low enough that a typo ("16000" for "16") cannot make the pool
+/// spawn thousands of workers.
+inline constexpr int kMaxThreads = 1024;
+
 /// The process-wide pool every parallel hot loop (forest fit/predict,
 /// jackknife sweeps, acquisition scoring) runs on. Created on first use
 /// with set_global_threads()'s last value, else the ACCLAIM_THREADS
@@ -112,7 +118,8 @@ int hardware_threads() noexcept;
 ThreadPool& global_pool();
 
 /// Resizes the global pool by tearing it down (joining its workers) and
-/// recreating it lazily; n <= 0 restores the default (env / hardware).
+/// recreating it lazily; n == 0 restores the default (env / hardware).
+/// Throws InvalidArgument outside [0, kMaxThreads], leaving the pool as is.
 /// Not safe to call while another thread is using global_pool() — call it
 /// between parallel regions (CLI startup, bench setup, test SetUp).
 void set_global_threads(int n);

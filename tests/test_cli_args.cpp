@@ -1,7 +1,12 @@
 // Unit tests for the CLI flag parser.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <array>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "../tools/cli_args.hpp"
 #include "util/error.hpp"
@@ -130,6 +135,35 @@ TEST(CliArgs, RejectsMalformedInput) {
   } catch (const acclaim::InvalidArgument& e) {
     EXPECT_NE(std::string(e.what()).find("--out"), std::string::npos);
   }
+}
+
+// Regression: `--threads` had no upper bound, so `acclaim tune-job
+// --threads 2000000000` asked the pool for that many workers. The flag is
+// now rejected with exit 1 before any work starts: no rules file is
+// written and the error line is all the command prints.
+TEST(CliBinary, TuneJobRejectsThreadsAboveTheCapBeforeAnyWork) {
+  const std::filesystem::path rules =
+      std::filesystem::path(::testing::TempDir()) / "cli_threads_cap_rules.json";
+  std::filesystem::remove(rules);
+  const std::string cmd = std::string(ACCLAIM_CLI) +
+                          " tune-job --machine tiny --nodes 4 --ppn 4 --collectives bcast"
+                          " --threads 5000 --rules " +
+                          rules.string() + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  std::array<char, 256> buf{};
+  while (std::fgets(buf.data(), static_cast<int>(buf.size()), pipe) != nullptr) {
+    output += buf.data();
+  }
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_EQ(output.rfind("error: ", 0), 0u) << output;
+  EXPECT_EQ(output.find('\n'), output.size() - 1) << output;
+  EXPECT_NE(output.find("5000"), std::string::npos) << output;
+  EXPECT_NE(output.find("1024"), std::string::npos) << output;
+  EXPECT_FALSE(std::filesystem::exists(rules));
 }
 
 TEST(CliArgs, SplitCsv) {

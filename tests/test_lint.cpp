@@ -76,6 +76,15 @@ TEST(LintDetLayer, SteadyClockIsFlaggedOutsideTelemetry) {
   EXPECT_TRUE(lint_source("src/telemetry/x.cpp", src).empty());
 }
 
+TEST(LintDetLayer, FigureHarnessesMayNotReadTheClock) {
+  // Figure benches report simulated quantities only; host time is
+  // perfbench's. The forest gate times the host on purpose.
+  const std::string src = "auto f() { return std::chrono::steady_clock::now(); }\n";
+  EXPECT_TRUE(has_check(lint_source("bench/fig99_x.cpp", src), "det-wallclock"));
+  EXPECT_TRUE(has_check(lint_source("bench/common.cpp", src), "det-wallclock"));
+  EXPECT_TRUE(lint_source("bench/micro_benchmarks.cpp", src).empty());
+}
+
 TEST(LintDetLayer, NonDetLayersMayReadTheClock) {
   const std::string src = "auto f() { return std::chrono::system_clock::now(); }\n";
   EXPECT_TRUE(lint_source("src/util/x.cpp", src).empty());

@@ -14,6 +14,7 @@
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -132,6 +133,16 @@ TEST(LearnerRobustness, RejectsNonsenseConfigs) {
   cfg.patience = 0;
   EXPECT_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg),
                InvalidArgument);
+  cfg.patience = 1;
+  // Construction only: run() would size the global pool from these.
+  for (int threads : {-1, util::kMaxThreads + 1, 2000000000}) {
+    cfg.threads = threads;
+    EXPECT_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg),
+                 InvalidArgument)
+        << "threads=" << threads;
+  }
+  cfg.threads = util::kMaxThreads;
+  EXPECT_NO_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg));
 }
 
 TEST(EnvironmentRobustness, DatasetEnvironmentRejectsUnknownPoints) {

@@ -301,7 +301,7 @@ TEST(DecisionCache, QuantizationIsLossless) {
 }
 
 TEST(DecisionCache, HitMissAndEvictionCounters) {
-  serve::DecisionCache cache(4, 1);  // one shard: LRU order is global
+  serve::DecisionCache cache(4);
   const auto key = [](std::uint64_t msg) {
     return serve::quantize(1, bench::Scenario{coll::Collective::Bcast, 2, 2, msg});
   };
@@ -323,15 +323,34 @@ TEST(DecisionCache, HitMissAndEvictionCounters) {
   EXPECT_EQ(st.misses, 2u);
 }
 
-TEST(DecisionCache, CapacityHoldsAcrossShards) {
-  serve::DecisionCache cache(64, 8);
-  for (std::uint64_t m = 1; m <= 1000; ++m) {
-    cache.put(serve::quantize(1, bench::Scenario{coll::Collective::Bcast, 2, 2, m}),
-              coll::Algorithm::BcastBinomial);
+// Regression: the cache split its capacity over 8 shards with a floor of one
+// entry per shard, so 12 enforced and reported 8, and 1 reported 8.
+TEST(DecisionCache, CapacityIsExact) {
+  serve::ServeConfig cfg;
+  cfg.cache_capacity = 12;
+  serve::ServeCore core(cfg);
+  EXPECT_EQ(core.cache_capacity(), 12u);
+  core.publish({coll::Collective::Bcast, 0, "default"}, trained_model(coll::Collective::Bcast));
+  const auto scenario = [](std::uint64_t msg) {
+    return bench::Scenario{coll::Collective::Bcast, 4, 4, msg};
+  };
+  for (std::uint64_t m = 1; m <= 12; ++m) {
+    core.select(scenario(m));
   }
-  const auto st = cache.stats();
-  EXPECT_LE(st.entries, 64u);
-  EXPECT_GE(st.evictions, 1000u - 64u - 8u);  // slack: per-shard splits round up
+  serve::DecisionCache::Stats st = core.cache_stats();
+  EXPECT_EQ(st.capacity, 12u);
+  EXPECT_EQ(st.entries, 12u);
+  EXPECT_EQ(st.evictions, 0u);
+  for (std::uint64_t m = 1; m <= 12; ++m) {
+    EXPECT_TRUE(core.select(scenario(m)).cache_hit) << "msg " << m;
+  }
+  core.select(scenario(13));
+  st = core.cache_stats();
+  EXPECT_EQ(st.entries, 12u);
+  EXPECT_EQ(st.evictions, 1u);
+
+  EXPECT_EQ(serve::DecisionCache(1).capacity(), 1u);
+  EXPECT_EQ(serve::DecisionCache(0).capacity(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -654,6 +673,16 @@ TEST_F(DaemonTest, StatsExposesTheMetricsRegistry) {
   EXPECT_GE(metrics.at("histograms").at("serve.query_us").at("count").as_number(), 1.0);
   EXPECT_TRUE(metrics.at("gauges").contains("threadpool.threads"));
   EXPECT_TRUE(r.contains("cache_capacity"));
+}
+
+TEST(Daemon, StatsReportsTheExactCacheCapacity) {
+  serve::ServeConfig cfg;
+  cfg.cache_capacity = 1;  // what `acclaim serve --cache-capacity 1` sets
+  serve::ServeCore core(cfg);
+  serve::Daemon daemon(core);
+  const util::Json r = util::Json::parse(daemon.handle_line(R"({"op":"stats"})"));
+  ASSERT_TRUE(r.at("ok").as_bool());
+  EXPECT_EQ(r.at("cache_capacity").as_number(), 1.0);
 }
 
 TEST_F(DaemonTest, UnixSocketRefusesToClobberARegularFile) {

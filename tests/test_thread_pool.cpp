@@ -211,6 +211,23 @@ TEST(ThreadPool, GlobalPoolResize) {
 
 TEST(ThreadPool, HardwareThreadsPositive) { EXPECT_GE(util::hardware_threads(), 1); }
 
+// Regression: set_global_threads had no upper bound, so `--threads
+// 2000000000` asked the pool for that many workers. Starts no thread: only
+// sizes are recorded, and the guard restores the previous one before
+// anything can create the pool.
+TEST(ThreadPool, SetGlobalThreadsRejectsOutOfRange) {
+  struct Restore {
+    int prev = util::global_threads();
+    ~Restore() { util::set_global_threads(prev); }
+  } restore;
+  for (int n : {-1, util::kMaxThreads + 1, 5000, 2000000000}) {
+    EXPECT_THROW(util::set_global_threads(n), InvalidArgument) << n;
+    EXPECT_EQ(util::global_threads(), restore.prev) << n;
+  }
+  EXPECT_NO_THROW(util::set_global_threads(util::kMaxThreads));
+  EXPECT_NO_THROW(util::set_global_threads(0));
+}
+
 // Regression: ACCLAIM_THREADS used to go through atoi — garbage fell back
 // silently, and trailing junk ("4x") was accepted as 4. Malformed values now
 // warn and take the hardware default; well-formed values still apply.

@@ -114,7 +114,10 @@ Severity check_severity(const std::string& id) {
 }
 
 std::vector<std::string> default_det_layers() {
-  return {"src/core/", "src/ml/", "src/simnet/", "src/benchdata/", "src/collectives/"};
+  // The figure harnesses report simulated quantities only; the forest gate
+  // (bench/micro_benchmarks), loadgen_serve and fleet_replay time the host.
+  return {"src/core/", "src/ml/", "src/simnet/", "src/benchdata/", "src/collectives/",
+          "bench/fig", "bench/tab_", "bench/ext_", "bench/common"};
 }
 
 std::vector<std::string> default_taint_layers() {

@@ -81,7 +81,8 @@ struct Finding {
   std::string hint;
 };
 
-/// src/core, src/ml, src/simnet, src/benchdata, src/collectives.
+/// src/core, src/ml, src/simnet, src/benchdata, src/collectives, and the
+/// figure harnesses (bench/fig*, bench/tab_*, bench/ext_*, bench/common.*).
 std::vector<std::string> default_det_layers();
 
 /// Layers whose values cross a trust boundary (NDJSON, CLI argv, env, CSV):
@@ -90,7 +91,8 @@ std::vector<std::string> default_taint_layers();
 
 struct LintOptions {
   /// Repo-relative path prefixes whose files must be free of wall-clock and
-  /// non-Rng randomness (the layers the golden determinism tests fingerprint).
+  /// non-Rng randomness (the layers the golden determinism tests fingerprint,
+  /// and the figure harnesses whose committed CSVs must reproduce).
   std::vector<std::string> det_layers = default_det_layers();
   /// Prefixes where unordered-container iteration is an error. Library and
   /// CLI code feeds ordered output (rule files, tables, accumulators); test
